@@ -469,8 +469,8 @@ class FlatIBSTree:
         pre-filter, on empty and non-empty trees alike (a descent-based
         answer would accidentally return the empty set on an empty
         tree).  Unhashable values raise ``TypeError`` — the result is
-        keyed by value — which is why the batched matcher routes tuples
-        carrying them through the per-tuple path instead.
+        keyed by value — which is why the match pipeline stabs tuples
+        carrying them one value at a time instead.
 
         Sorted inputs keep sibling groups adjacent, but any iterable
         works.  The descent visits each tree node at most once per

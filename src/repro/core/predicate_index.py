@@ -44,7 +44,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -53,14 +52,10 @@ from typing import (
     Union,
 )
 
-from ..errors import PredicateError, UnknownIntervalError
+from ..errors import PredicateError
 from ..maintenance import MaintenancePolicy, MaintenanceScheduler
 from ..match import health as _health
-from ..match.catalog import (
-    ClauseCatalog,
-    RelationState,
-    compile_residual as _compile_residual,  # noqa: F401  (compat re-export)
-)
+from ..match.catalog import ClauseCatalog, RelationState
 from ..match.observer import CompositeObserver, MatchStatistics, StatsObserver
 from ..match.pipeline import MatchPipeline
 from ..match.store import TreeStore
@@ -349,9 +344,8 @@ class PredicateIndex:
 
         The one op-count semantics (documented on
         :class:`~repro.maintenance.MaintenanceClock`): matched tuples
-        and predicate writes tick, candidate-supplied matching does
-        not, and a frozen index never ticks — so no maintenance task
-        can run against frozen state.
+        and predicate writes tick, and a frozen index never ticks — so
+        no maintenance task can run against frozen state.
         """
         if self._frozen:
             return
@@ -438,9 +432,8 @@ class PredicateIndex:
         never bump their epochs, those cached stabs stay valid for the
         snapshot's whole lifetime — this is what lets an epoch-snapshot
         base keep serving cache hits across writes that would invalidate
-        a mutable index's entire cache.  (Lazy residual compilation is
-        likewise safe — per-key dict writes are atomic under the GIL and
-        every thread computes the same value.)
+        a mutable index's entire cache.  Residuals are compiled at
+        registration, so readers never write them.
         """
         self._frozen = True
         self._store.cache_lru = False
@@ -633,30 +626,16 @@ class PredicateIndex:
             self._tick(relation, 1)
         return matched
 
-    def match_with_candidates(
-        self, relation: str, tup: Mapping[str, Any]
-    ) -> Iterator[Tuple[Optional[Predicate], Hashable]]:
-        """Yield ``(predicate_or_None, ident)`` for each candidate.
-
-        A candidate whose residual test fails yields ``(None, ident)``;
-        a full match yields the predicate.  Exposed so benchmarks can
-        count partial matches exactly as the cost model does.
-        """
-        return self._pipeline.match_with_candidates(relation, tup)
-
     def match_batch(
         self, relation: str, tuples: Iterable[Mapping[str, Any]]
     ) -> List[List[Predicate]]:
         """Match a batch of tuples; returns one result list per tuple.
 
-        Semantically identical to ``[self.match(relation, t) for t in
-        tuples]`` (the differential tests assert exactly that), but the
-        work is restructured around the batch — grouped per-attribute
-        stab descents, compiled residual evaluators, and a per-batch
-        memo; see :meth:`MatchPipeline.match_batch` for the stages.
-        Batches containing unhashable or infinity-sentinel values in
-        indexed attributes fall back to the per-tuple loop
-        transparently.
+        Row *i* equals ``self.match(relation, tuples[i])``: both run
+        the same scalar loop, the batch sharing one grouped stab
+        descent per attribute tree across its tuples (or answering
+        from the columnar plane when enabled); see
+        :meth:`MatchPipeline.match_batch`.
         """
         tuple_list = list(tuples)
         results = self._pipeline.match_batch(relation, tuple_list)

@@ -11,9 +11,9 @@
   choice via a pluggable selectivity estimator, or every indexable
   clause under multi-clause indexing — and feedback-driven entry-clause
   **migration** (:meth:`ClauseCatalog.retune`);
-* the **compiled-residual cache**: each predicate's residual test
-  compiled once into a tagged dispatch tuple (see
-  :func:`compile_residual`) and reused by every batched match.
+* the **compiled residuals**: each predicate's residual test compiled
+  into a tagged dispatch tuple (see :func:`compile_residual`) whenever
+  its entry attributes are set, and used by every scalar match.
 
 The catalog never descends a tree itself: tree storage and lifecycle
 belong to :class:`~repro.match.store.TreeStore`, which registration
@@ -31,6 +31,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
     MutableMapping,
     Optional,
     Set,
@@ -53,6 +54,7 @@ __all__ = [
     "RelationState",
     "ClauseCatalog",
     "compile_residual",
+    "residual_holds",
     "vector_residual_spec",
     "TRIVIAL",
     "CLOSED",
@@ -102,8 +104,8 @@ class RelationState:
         self.indexed_under: Dict[Hashable, Tuple[str, ...]] = {}
         #: the PREDICATES table: ident -> full predicate
         self.predicates: Dict[Hashable, Predicate] = {}
-        #: ident -> compiled residual evaluator (built lazily by the
-        #: batched pipeline); see :func:`compile_residual`
+        #: ident -> compiled residual evaluator, recompiled whenever the
+        #: ident's entry attributes change; see :func:`compile_residual`
         self.residuals: Dict[Hashable, Tuple[Any, ...]] = {}
         #: LRU stab cache: ``(attribute, tree_epoch, value) ->
         #: frozenset(idents)``.  Because the tree's epoch is part of
@@ -147,6 +149,23 @@ class RelationState:
         #: seeded from the catalog's ``backend_plan`` when the state
         #: record is (re-)created.
         self.tree_backends: Dict[str, Tuple[str, Any]] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Compiled residuals hold local closures, which cannot be
+        # pickled (the process pool ships frozen indexes to workers):
+        # leave them out and recompile them on load.
+        state = {slot: getattr(self, slot) for slot in self.__slots__}
+        del state["residuals"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        indexed_under = self.indexed_under
+        self.residuals = {
+            ident: compile_residual(predicate, indexed_under.get(ident, ()))
+            for ident, predicate in self.predicates.items()
+        }
 
 
 class ClauseCatalog:
@@ -281,11 +300,11 @@ class ClauseCatalog:
                     self.relation_of[ident] = relation
                     added.append((relation, ident))
                     entry_clauses = self.entry_clauses_of(normalized)
-                    if not entry_clauses:
-                        state.non_indexable.add(ident)
-                        continue
-                    state.indexed_under[ident] = tuple(
-                        clause.attribute for clause in entry_clauses
+                    self._set_entry(
+                        state,
+                        ident,
+                        normalized,
+                        tuple(clause.attribute for clause in entry_clauses),
                     )
                     for clause in entry_clauses:
                         tree = state.trees.get(clause.attribute)
@@ -307,7 +326,6 @@ class ClauseCatalog:
                 if state_or_none is None:
                     continue
                 state_or_none.predicates.pop(ident, None)
-                state_or_none.residuals.pop(ident, None)
                 self.relation_of.pop(ident, None)
                 self.rollback_add(store, relation, state_or_none, ident)
             raise
@@ -336,10 +354,7 @@ class ClauseCatalog:
         state = self._state_for(relation)
         state.predicates[ident] = normalized
         self.relation_of[ident] = relation
-        if under:
-            state.indexed_under[ident] = tuple(under)
-        else:
-            state.non_indexable.add(ident)
+        self._set_entry(state, ident, normalized, tuple(under))
         state.version += 1
         return ident
 
@@ -348,9 +363,6 @@ class ClauseCatalog:
     ) -> None:
         """Enter *normalized*'s clause(s) into the per-attribute trees."""
         entry_clauses = self.entry_clauses_of(normalized)
-        if not entry_clauses:
-            state.non_indexable.add(ident)
-            return
         for clause in entry_clauses:
             tree = state.trees.get(clause.attribute)
             if tree is None:
@@ -359,17 +371,50 @@ class ClauseCatalog:
                 )
                 state.stab_cache.clear()  # tree map changed shape
             tree.insert(clause.interval, ident)
-        state.indexed_under[ident] = tuple(
-            clause.attribute for clause in entry_clauses
+        self._set_entry(
+            state,
+            ident,
+            normalized,
+            tuple(clause.attribute for clause in entry_clauses),
         )
+
+    @staticmethod
+    def _set_entry(
+        state: RelationState,
+        ident: Hashable,
+        predicate: Predicate,
+        under: Tuple[str, ...],
+    ) -> None:
+        """Record *ident*'s entry attribute(s) and compile its residual.
+
+        The one writer of ``indexed_under`` / ``non_indexable`` /
+        ``residuals``: the compiled residual skips exactly the clauses
+        the entry attributes prove, so the three change together on
+        every path that sets them — register, bulk register, cold-start
+        attach, migration and rebuild.  Empty *under* means
+        non-indexable.
+        """
+        if under:
+            state.indexed_under[ident] = under
+            state.non_indexable.discard(ident)
+        else:
+            state.indexed_under.pop(ident, None)
+            state.non_indexable.add(ident)
+        state.residuals[ident] = compile_residual(predicate, under)
+
+    @staticmethod
+    def _drop_entry(state: RelationState, ident: Hashable) -> None:
+        """Forget *ident*'s entry attributes and compiled residual."""
+        state.indexed_under.pop(ident, None)
+        state.non_indexable.discard(ident)
+        state.residuals.pop(ident, None)
 
     def rollback_add(
         self, store: Any, relation: str, state: RelationState, ident: Hashable
     ) -> None:
         """Undo a partially-applied :meth:`register` for *ident*."""
         state.version += 1
-        state.non_indexable.discard(ident)
-        state.indexed_under.pop(ident, None)
+        self._drop_entry(state, ident)
         for attribute in list(state.trees):
             tree = state.trees[attribute]
             if ident in tree:
@@ -388,16 +433,13 @@ class ClauseCatalog:
         state = self.relations[relation]
         state.version += 1
         predicate = state.predicates.pop(ident)
-        state.residuals.pop(ident, None)
-        attributes = state.indexed_under.pop(ident, None)
-        if attributes is None:
-            state.non_indexable.discard(ident)
-        else:
-            for attribute in attributes:
-                tree = state.trees[attribute]
-                tree.delete(ident)
-                if not tree:
-                    store.drop_tree(state, attribute)
+        attributes = state.indexed_under.get(ident, ())
+        self._drop_entry(state, ident)
+        for attribute in attributes:
+            tree = state.trees[attribute]
+            tree.delete(ident)
+            if not tree:
+                store.drop_tree(state, attribute)
         if not state.predicates:
             del self.relations[relation]
         return predicate
@@ -498,9 +540,7 @@ class ClauseCatalog:
                 # Double fault: neither tree accepted the entry.  Brute
                 # force is always sound, so park the predicate on the
                 # non-indexable list rather than lose it.
-                state.indexed_under.pop(ident, None)
-                state.residuals.pop(ident, None)
-                state.non_indexable.add(ident)
+                self._set_entry(state, ident, state.predicates[ident], ())
                 if not old_tree:
                     store.drop_tree(state, old_attr)
                 raise
@@ -510,10 +550,9 @@ class ClauseCatalog:
             state.stab_cache.clear()  # tree map changed shape
         if not old_tree:
             store.drop_tree(state, old_attr)
-        state.indexed_under[ident] = (new_attr,)
         # the residual must re-test the old entry clause and skip the
-        # new one; the batched pipeline recompiles it lazily
-        state.residuals.pop(ident, None)
+        # new one
+        self._set_entry(state, ident, state.predicates[ident], (new_attr,))
         observer.on_migration(relation, ident, old_attr, new_attr)
         return True
 
@@ -542,33 +581,18 @@ class ClauseCatalog:
         for ident, predicate in state.predicates.items():
             self.relation_of[ident] = relation
             entry_clauses = self.entry_clauses_of(predicate)
-            if not entry_clauses:
-                state.non_indexable.add(ident)
-                continue
             for clause in entry_clauses:
                 per_attribute.setdefault(clause.attribute, []).append(
                     (clause.interval, ident)
                 )
-            state.indexed_under[ident] = tuple(
-                clause.attribute for clause in entry_clauses
+            self._set_entry(
+                state,
+                ident,
+                predicate,
+                tuple(clause.attribute for clause in entry_clauses),
             )
         for attribute, pairs in per_attribute.items():
             state.trees[attribute] = store.build_tree(state, pairs, attribute)
-
-    # -- residual cache -------------------------------------------------
-
-    def ensure_residuals(self, state: RelationState) -> Dict[Hashable, Tuple[Any, ...]]:
-        """Compile (and cache) every predicate's residual evaluator."""
-        residuals = state.residuals
-        predicates = state.predicates
-        if len(residuals) != len(predicates):
-            indexed_under = state.indexed_under
-            for ident, predicate in predicates.items():
-                if ident not in residuals:
-                    residuals[ident] = compile_residual(
-                        predicate, indexed_under.get(ident, ())
-                    )
-        return residuals
 
     # -- introspection --------------------------------------------------
 
@@ -616,23 +640,19 @@ class ClauseCatalog:
 # proved.  The compiled form drops the proven clauses (the entry
 # clause in the paper's scheme; every indexed clause under
 # multi-clause indexing) and shape-specializes what remains.  Entries
-# are small tagged tuples dispatched inline by the batched pipeline:
+# are small tagged tuples dispatched inline by the match pipeline:
 #
 #   (TRIVIAL, pred)                      nothing left to test
 #   (CLOSED,  pred, attr, low, high)     one closed interval, inlined
-#   (SINGLE,  pred, attr, check, memo)   one residual attribute
-#   (MULTI,   pred, attrs, eval, memo)   several residual attributes
+#   (SINGLE,  pred, attr, check)         one residual attribute
+#   (MULTI,   pred, attrs, evaluate)     several residual attributes
 #   (OPAQUE,  pred)                      unknown clause subclass:
 #                                        fall back to pred.matches
 #
-# ``memo`` marks interval-only residuals, whose verdicts depend only
-# on ``==``-interchangeable values (the total-order assumption the
-# tree itself rests on) and are therefore safe to memoize; function
-# clauses are not (a type-sensitive function distinguishes ``2`` from
-# ``2.0``, which share a memo key).  Semantics are identical to
-# clause.matches(): None never matches, the infinity sentinels never
-# match an interval clause, incomparable values fail the clause
-# instead of raising, and function-clause exceptions propagate.
+# Semantics are identical to clause.matches(): None never matches, the
+# infinity sentinels never match an interval clause, incomparable
+# values fail the clause instead of raising, and function-clause
+# exceptions propagate.
 #
 # Interval tests are compiled in the same *rejection* style as
 # ``Interval.contains`` — fail when a bound comparison proves the
@@ -640,9 +660,9 @@ class ClauseCatalog:
 # containment tests.  The two styles agree on every totally-ordered
 # value but diverge on partially-ordered ones: ``nan <= high`` and
 # ``nan > high`` are both False, so a positive test rejects NaN while
-# the per-tuple oracle (``contains``) accepts it.  The per-tuple path
-# is the documented semantics, so the compiled form must mirror its
-# branch structure exactly.
+# the oracle (``contains``) accepts it.  ``Predicate.matches`` is the
+# documented semantics, so the compiled form must mirror its branch
+# structure exactly.
 
 TRIVIAL, CLOSED, SINGLE, MULTI, OPAQUE = range(5)
 
@@ -685,20 +705,12 @@ def compile_residual(
                 predicate,
                 clause.attribute,
                 _compile_interval_vcheck(interval),
-                True,
             )
-        return (
-            SINGLE,
-            predicate,
-            clause.attribute,
-            _compile_function_vcheck(clause),
-            False,
-        )
+        return (SINGLE, predicate, clause.attribute, _compile_function_vcheck(clause))
     attrs: List[str] = []
     for clause in residual:
         if clause.attribute not in attrs:
             attrs.append(clause.attribute)
-    memo_ok = all(isinstance(clause, IntervalClause) for clause in residual)
     vchecks = [
         _compile_interval_vcheck(clause.interval)
         if isinstance(clause, IntervalClause)
@@ -715,7 +727,7 @@ def compile_residual(
                     return False
             return True
 
-        return (SINGLE, predicate, attrs[0], combined, memo_ok)
+        return (SINGLE, predicate, attrs[0], combined)
     pairs = tuple(
         (clause.attribute, vcheck) for clause, vcheck in zip(residual, vchecks)
     )
@@ -742,7 +754,29 @@ def compile_residual(
                     return False
             return True
 
-    return (MULTI, predicate, tuple(attrs), evaluate, memo_ok)
+    return (MULTI, predicate, tuple(attrs), evaluate)
+
+
+def residual_holds(entry: Tuple[Any, ...], tup: Mapping[str, Any]) -> bool:
+    """Evaluate one compiled residual *entry* against *tup*.
+
+    The out-of-loop form of the dispatch the match pipeline inlines,
+    for callers outside its hot loop (the columnar plane's fallback).
+    """
+    kind = entry[0]
+    if kind == CLOSED:
+        v = tup.get(entry[2])
+        try:
+            return v is not None and not (v < entry[3] or v > entry[4])
+        except TypeError:
+            return False  # incomparable value
+    if kind == SINGLE:
+        return bool(entry[3](tup.get(entry[2])))
+    if kind == MULTI:
+        return bool(entry[3](tup.get))
+    if kind == TRIVIAL:
+        return True
+    return entry[1].matches(tup)  # OPAQUE
 
 
 def _compile_interval_vcheck(interval: Any) -> Callable[[Any], bool]:
@@ -799,11 +833,10 @@ def _compile_interval_vcheck(interval: Any) -> Callable[[Any], bool]:
 # compiler: it decides, per predicate, whether the residual conjunction
 # is expressible as bound comparisons over exactly-representable
 # numeric constants, and emits one (attribute, low, high, low_inc,
-# high_inc) row per clause.  Everything else — function clauses,
-# non-numeric or float64-inexact bounds, unknown clause subclasses —
-# returns None, and the plane falls back to per-candidate
-# ``predicate.matches`` for that predicate, the same seam the scalar
-# batch path's OPAQUE entries use.
+# high_inc) row per clause.  Everything else — non-numeric or
+# float64-inexact bounds, unknown clause subclasses — returns None, and
+# the plane falls back to that predicate's compiled scalar residual
+# (:func:`residual_holds`).
 
 #: Largest magnitude an int may have and still be exactly representable
 #: as a float64 (columns are float64; 2**53 is the first integer with a
@@ -840,7 +873,7 @@ def vector_residual_spec(
     proven by a probe and always kept.  A ``None`` return means the
     residual cannot be expressed vectorized (an unknown clause
     subclass, or interval bounds outside the exact float64 domain) and
-    the caller must fall back to ``predicate.matches`` — never a
+    the caller must fall back to the compiled scalar residual — never a
     partial spec, so the fallback decision is per predicate, not per
     clause.
     """

@@ -41,9 +41,9 @@ emit time.
 
 Predicates whose residual :func:`~repro.match.catalog.vector_residual_spec`
 cannot express (unknown clause subclasses, bounds outside the exact
-float64 domain) fall back to per-candidate ``predicate.matches`` at
-emit time — the same seam the scalar batch path's OPAQUE entries use —
-so the plane never guesses.
+float64 domain) fall back to their compiled scalar residual
+(:func:`~repro.match.catalog.residual_holds`) at emit time, so the
+plane never guesses.
 
 Correctness boundaries, all enforced here:
 
@@ -54,12 +54,11 @@ Correctness boundaries, all enforced here:
   caller falls back to the scalar pipeline: foreign comparable types
   (``Decimal``, strings, big ints) may legitimately match in the
   scalar trees, so treating them as non-matching would diverge.
-* **NaN** — a NaN stab descends rightward at every finite node (all
-  ``<`` comparisons are False) and lands in the top gap, which is
-  exactly where ``searchsorted`` places it; for *residual* intervals
-  the per-tuple oracle (``Interval.contains``, rejection-style)
-  accepts NaN, so residual stab rows are overridden to the all-ones
-  outcome for NaN values.
+* **NaN** — ``Interval.contains`` (rejection-style) accepts NaN in
+  every interval, so a NaN value maps to its own outcome row instead
+  of the gap ``searchsorted`` would pick: every owned bit set on
+  *entry* planes (each predicate entered in the tree is a candidate,
+  as on the scalar path), all ones on *residual* planes.
 * **None / missing attributes** — both project to the same "absent"
   lane: no entry probe, the absent outcome row (no candidate on entry
   planes, every owned bit cleared on residual planes), mirroring the
@@ -97,6 +96,7 @@ from ..predicates.predicate import Predicate
 from .catalog import (
     RelationState,
     _vectorizable_bound,
+    residual_holds,
     vector_residual_spec,
 )
 from .observer import MatchObserver
@@ -159,7 +159,7 @@ class ColumnarIBSIndex:
                                        values[i] (row n: above all)
         row n + 1 + i  (0 <= i <  n)   exact hit on values[i]
         row 2n + 1                     absent value (None / missing)
-        row 2n + 2                     all-one (NaN on residual planes)
+        row 2n + 2                     NaN (Interval.contains admits it)
 
     so :meth:`stab_rows` is one ``searchsorted`` plus one equality mask
     over the whole batch, and :meth:`gather` yields the batch's packed
@@ -174,14 +174,8 @@ class ColumnarIBSIndex:
         self.packed = packed
         self.n = int(values.shape[0])
 
-    def stab_rows(self, column: Any, isnone: Any, nan_passes: bool) -> Any:
-        """Outcome-row index per batch value (one vectorized stab).
-
-        ``nan_passes`` selects the residual-plane NaN semantics (the
-        rejection-style oracle accepts NaN, so NaN rows map to the
-        all-ones outcome); entry planes leave NaN in the top gap, which
-        is where a scalar descent lands it.
-        """
+    def stab_rows(self, column: Any, isnone: Any) -> Any:
+        """Outcome-row index per batch value (one vectorized stab)."""
         n = self.n
         idx = np.searchsorted(self.values, column, side="left")
         if n:
@@ -192,13 +186,12 @@ class ColumnarIBSIndex:
         else:
             rows = idx
         rows[isnone] = 2 * n + 1
-        if nan_passes:
-            rows[column != column] = 2 * n + 2
+        rows[column != column] = 2 * n + 2
         return rows
 
-    def gather(self, column: Any, isnone: Any, nan_passes: bool) -> Any:
+    def gather(self, column: Any, isnone: Any) -> Any:
         """The batch's packed verdict rows (batch × relation bytes)."""
-        return self.packed[self.stab_rows(column, isnone, nan_passes)]
+        return self.packed[self.stab_rows(column, isnone)]
 
 
 def _byte_mask(cols: List[int], n_bytes: int) -> Any:
@@ -220,8 +213,8 @@ def _plane_from_export(
     ``perm[k]`` maps tree-local bit *k* to its global predicate column;
     entries at or beyond ``n_cols`` (freed bits, unknown idents) are
     dropped.  ``residual`` selects the AND-composable row layout:
-    foreign bits one, absent row clears only owned bits, plus the
-    all-ones NaN row.
+    foreign bits one, absent row clears only owned bits, all-ones NaN
+    row; an entry plane's NaN row holds every owned bit.
 
     Returns ``None`` when any node value falls outside the exact
     float64 domain — the relation then cannot be vectorized, because
@@ -250,13 +243,15 @@ def _plane_from_export(
     valid = (perm_array >= 0) & (perm_array < n_cols)
     full = np.zeros((n_rows + 2, n_bytes * 8), dtype=bool)
     full[:n_rows, perm_array[valid]] = tree_bits[:, valid]
+    owned = np.zeros(n_bytes * 8, dtype=bool)
+    owned[perm_array[valid]] = True
     if residual:
-        owned = np.zeros(n_bytes * 8, dtype=bool)
-        owned[perm_array[valid]] = True
         foreign = ~owned
         full[:n_rows] |= foreign
         full[n_rows] = foreign  # absent: owned bits fail, rest untouched
         full[n_rows + 1] = True  # NaN: rejection-style oracle accepts it
+    else:
+        full[n_rows + 1] = owned  # NaN lies in every entered interval
     packed = np.packbits(full, axis=1, bitorder="little")
     return ColumnarIBSIndex(np.asarray(values, dtype=np.float64), packed)
 
@@ -280,7 +275,8 @@ class ColumnarRelationPlane:
         "ni_mask",
         "fallback_mask",
         "fallback_inv",
-        "ni_fallback_preds",
+        "fallback_entries",
+        "ni_fallback_entries",
         "float_attrs",
         "ni_count",
     )
@@ -292,8 +288,8 @@ class ColumnarRelationPlane:
         residual_planes: List[Tuple[str, ColumnarIBSIndex]],
         function_groups: List[Tuple[str, Callable[[Any], Any], bool, Any]],
         ni_mask: Optional[Any],
-        fallback_mask: Optional[Any],
-        ni_fallback_preds: List[Predicate],
+        fallback_entries: Dict[int, Tuple[Any, ...]],
+        ni_fallback_entries: List[Tuple[Any, ...]],
         ni_count: int,
     ) -> None:
         self.preds_by_col = preds_by_col
@@ -310,15 +306,24 @@ class ColumnarRelationPlane:
         #: non-indexable predicates whose whole conjunction vectorized:
         #: their candidate bit is forced on (they are always tested)
         self.ni_mask = ni_mask
-        #: indexed predicates the spec compiler bailed on: candidate
-        #: bits survive to emit, verdicts come from predicate.matches
-        self.fallback_mask = fallback_mask
-        self.fallback_inv = (
-            np.bitwise_not(fallback_mask) if fallback_mask is not None else None
+        #: column -> compiled scalar residual of each indexed predicate
+        #: the spec compiler bailed on: candidate bits survive to emit,
+        #: verdicts come from the compiled residual
+        self.fallback_entries = fallback_entries
+        self.fallback_mask = (
+            _byte_mask(list(fallback_entries), self.n_bytes)
+            if fallback_entries
+            else None
         )
-        #: non-indexable predicates the compiler bailed on: tested
-        #: against every tuple by predicate.matches, like the scalar NI loop
-        self.ni_fallback_preds = ni_fallback_preds
+        self.fallback_inv = (
+            np.bitwise_not(self.fallback_mask)
+            if self.fallback_mask is not None
+            else None
+        )
+        #: compiled residuals of the non-indexable predicates the
+        #: compiler bailed on: tested against every tuple, like the
+        #: scalar non-indexable loop
+        self.ni_fallback_entries = ni_fallback_entries
         self.float_attrs = sorted(
             {attr for attr, _ in entry_planes}
             | {attr for attr, _ in residual_planes}
@@ -410,7 +415,7 @@ class ColumnarRelationPlane:
         for attr, plane in self.entry_planes:
             column, isnone = columns[attr]
             probes += size - int(isnone.sum())
-            gathered = plane.gather(column, isnone, False)
+            gathered = plane.gather(column, isnone)
             if matrix is None:
                 matrix = gathered  # fancy gather: already a fresh array
             else:
@@ -435,7 +440,7 @@ class ColumnarRelationPlane:
         for attr, plane in self.residual_planes:
             column, isnone = columns[attr]
             np.bitwise_and(
-                matrix, plane.gather(column, isnone, True), out=matrix
+                matrix, plane.gather(column, isnone), out=matrix
             )
         for inv_mask, verdicts in function_vectors:
             failed = np.flatnonzero(~verdicts)
@@ -467,25 +472,25 @@ class ColumnarRelationPlane:
             start = end
         full = len(flat)
         if fallback_hits is not None:
-            preds_by_col = self.preds_by_col
+            entries = self.fallback_entries
             for row, col in zip(
                 fallback_hits[0].tolist(), fallback_hits[1].tolist()
             ):
-                predicate = preds_by_col[col]
-                if predicate.matches(tuples[row]):
-                    results[row].append(predicate)
+                entry = entries[col]
+                if residual_holds(entry, tuples[row]):
+                    results[row].append(entry[1])
                     full += 1
-        if self.ni_fallback_preds:
+        if self.ni_fallback_entries:
             for row, tup in enumerate(tuples):
                 append = results[row].append
-                for predicate in self.ni_fallback_preds:
-                    if predicate.matches(tup):
-                        append(predicate)
+                for entry in self.ni_fallback_entries:
+                    if residual_holds(entry, tup):
+                        append(entry[1])
                         full += 1
         observer.on_route(relation, size, True)
         observer.on_stab(relation, probes, 0, 0)
         observer.on_candidates(relation, partial, self.ni_count * size)
-        observer.on_residual(relation, full, 0)
+        observer.on_residual(relation, full)
         return results
 
 
@@ -524,8 +529,8 @@ def build_relation_plane(
     residual_items: Dict[str, List[Tuple[Interval, int]]] = {}
     function_cols: Dict[Tuple[Any, str, bool], List[int]] = {}
     trivial_ni_cols: List[int] = []
-    fallback_cols: List[int] = []
-    ni_fallback_preds: List[Predicate] = []
+    fallback_entries: Dict[int, Tuple[Any, ...]] = {}
+    ni_fallback_entries: List[Tuple[Any, ...]] = []
     non_indexable = state.non_indexable
     indexed_under = state.indexed_under
     for ident, predicate in state.predicates.items():
@@ -533,9 +538,9 @@ def build_relation_plane(
         spec = vector_residual_spec(predicate, indexed_under.get(ident, ()))
         if spec is None:
             if ident in non_indexable:
-                ni_fallback_preds.append(predicate)
+                ni_fallback_entries.append(state.residuals[ident])
             else:
-                fallback_cols.append(col)
+                fallback_entries[col] = state.residuals[ident]
             continue
         if ident in non_indexable:
             trivial_ni_cols.append(col)
@@ -579,7 +584,7 @@ def build_relation_plane(
         residual_planes,
         function_groups,
         _byte_mask(trivial_ni_cols, n_bytes) if trivial_ni_cols else None,
-        _byte_mask(fallback_cols, n_bytes) if fallback_cols else None,
-        ni_fallback_preds,
+        fallback_entries,
+        ni_fallback_entries,
         len(non_indexable),
     )

@@ -4,14 +4,17 @@ One implementation of the paper's matching procedure (module docstring
 of :mod:`repro.core.predicate_index`, steps 1–4) serves every read
 path:
 
-* the per-tuple generator (:meth:`MatchPipeline.match_with_candidates`)
-  behind ``match`` / ``match_idents``;
-* the batched path (:meth:`MatchPipeline.match_batch`) with grouped
-  stab descents, compiled residuals, and the per-batch memo;
+* one scalar loop (:meth:`MatchPipeline._match_rows`) behind both
+  ``match`` / ``match_idents`` — a single tuple is the one-row case —
+  and ``match_batch``: grouped stab descents, one candidate stage, and
+  compiled residuals that skip the clauses the index probe proved;
+* the vectorized columnar plane (:mod:`repro.match.columnar`), tried
+  first by ``match_batch`` when enabled, which falls back to that loop;
 * the concurrency layer's epoch-snapshot reads, via the module-level
-  :func:`snapshot_match` / :func:`snapshot_match_idents` /
-  :func:`snapshot_match_batch` merge functions (base results filtered
-  through tombstones, overlay results appended in insertion order).
+  :func:`snapshot_match_batch` merge (base results filtered through
+  tombstones, overlay results appended in insertion order), of which
+  :func:`snapshot_match` / :func:`snapshot_match_idents` are the
+  one-tuple case, run through each index's per-tuple ``match``.
 
 Every stage reports what it did through a
 :class:`~repro.match.observer.MatchObserver` — the pipeline itself
@@ -26,7 +29,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -55,7 +57,7 @@ class MatchPipeline:
     ----------
     catalog:
         The :class:`~repro.match.catalog.ClauseCatalog` holding the
-        per-relation state (trees, predicates, residual cache).
+        per-relation state (trees, predicates, compiled residuals).
     store:
         The :class:`~repro.match.store.TreeStore` whose cache policy
         (``stab_cache_size``, ``cache_lru``) governs the stab stage.
@@ -100,281 +102,139 @@ class MatchPipeline:
         self.adaptive = bool(adaptive)
         self.columnar = bool(columnar)
 
-    # -- per-tuple path -------------------------------------------------
+    # -- entry points ---------------------------------------------------
 
     def match(self, relation: str, tup: Mapping[str, Any]) -> List[Predicate]:
-        """All predicates of *relation* that fully match the tuple."""
-        return [
-            pred
-            for pred, _ in self.match_with_candidates(relation, tup)
-            if pred is not None
-        ]
+        """All predicates of *relation* that fully match the tuple.
+
+        The one-row case of the scalar loop behind :meth:`match_batch`,
+        with per-tuple route accounting and no columnar plane.
+        """
+        return self._match_rows(relation, [tup], False)[0]
 
     def match_idents(self, relation: str, tup: Mapping[str, Any]) -> Set[Hashable]:
         """Identifiers of all fully matching predicates."""
-        return {
-            pred.ident
-            for pred, _ in self.match_with_candidates(relation, tup)
-            if pred is not None
-        }
-
-    def match_with_candidates(
-        self, relation: str, tup: Mapping[str, Any]
-    ) -> Iterator[Tuple[Optional[Predicate], Hashable]]:
-        """Yield ``(predicate_or_None, ident)`` for each candidate.
-
-        A candidate whose residual test fails yields ``(None, ident)``;
-        a full match yields the predicate.  Exposed so benchmarks can
-        count partial matches exactly as the cost model does.
-        """
-        observer = self.observer
-        observer.on_route(relation, 1, False)
-        state = self.catalog.relations.get(relation)
-        if state is None:
-            return
-        if self.catalog.multi_clause:
-            candidates = self._intersect_candidates(relation, state, tup)
-        else:
-            candidates = set()
-            probes = descents = cache_hits = 0
-            track = observer.wants_attribute_stabs
-            attr_counts: Optional[Dict[str, int]] = {} if track else None
-            cache_size = self.store.stab_cache_size
-            cache: Any = state.stab_cache
-            lru = self.store.cache_lru
-            for attribute, tree in state.trees.items():
-                value = tup.get(attribute)
-                if value is None:
-                    continue  # NULL matches no clause: no tree entry applies
-                probes += 1
-                if attr_counts is not None:
-                    attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
-                key = None
-                if cache_size:
-                    epoch = getattr(tree, "epoch", None)
-                    if epoch is not None:
-                        try:
-                            key = (attribute, epoch, value)
-                            cached = cache.get(key)
-                        except TypeError:
-                            key = None  # unhashable value: uncacheable
-                        else:
-                            if cached is not None:
-                                if lru:
-                                    cache.move_to_end(key)
-                                cache_hits += 1
-                                candidates |= cached
-                                continue
-                descents += 1
-                try:
-                    if key is None:
-                        tree.stab_into(value, candidates)
-                    else:
-                        stabbed = frozenset(tree.stab(value))
-                        candidates |= stabbed
-                        if lru:
-                            cache[key] = stabbed
-                            if len(cache) > cache_size:
-                                cache.popitem(last=False)
-                        elif len(cache) < cache_size:
-                            # frozen: append-only, never evict
-                            cache[key] = stabbed
-                except TypeError:
-                    # the value's type is incomparable with this
-                    # attribute's indexed bounds (mixed-domain data): no
-                    # interval clause on this attribute can match it
-                    continue
-            observer.on_stab(relation, probes, descents, cache_hits)
-            if attr_counts:
-                observer.on_attribute_stabs(relation, attr_counts)
-            if self.adaptive:
-                self.feedback.observe_tuples(relation, 1)
-                if candidates:
-                    self.feedback.observe_candidates(candidates)
-        observer.on_candidates(relation, len(candidates), len(state.non_indexable))
-        candidates |= state.non_indexable
-        for ident in candidates:
-            predicate = state.predicates[ident]
-            if predicate.matches(tup):
-                observer.on_residual(relation, 1, 0)
-                yield predicate, ident
-            else:
-                yield None, ident
-
-    def _intersect_candidates(
-        self, relation: str, state: RelationState, tup: Mapping[str, Any]
-    ) -> Set[Hashable]:
-        """Multi-clause candidates: hit in *every* indexed attribute.
-
-        An ident is a candidate only if every tree it is indexed under
-        was probed and reported it — a NULL or incomparable value in
-        any indexed attribute disqualifies the predicate outright
-        (that clause cannot match).
-        """
-        hits: Dict[Hashable, int] = {}
-        probed: Set[str] = set()
-        probes = descents = 0
-        track = self.observer.wants_attribute_stabs
-        attr_counts: Optional[Dict[str, int]] = {} if track else None
-        for attribute, tree in state.trees.items():
-            value = tup.get(attribute)
-            if value is None:
-                continue
-            probes += 1
-            if attr_counts is not None:
-                attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
-            descents += 1
-            try:
-                stabbed = tree.stab(value)
-            except TypeError:
-                continue
-            probed.add(attribute)
-            for ident in stabbed:
-                hits[ident] = hits.get(ident, 0) + 1
-        self.observer.on_stab(relation, probes, descents, 0)
-        if attr_counts:
-            self.observer.on_attribute_stabs(relation, attr_counts)
-        candidates: Set[Hashable] = set()
-        for ident, count in hits.items():
-            attributes = state.indexed_under[ident]
-            if count == len(attributes) and all(a in probed for a in attributes):
-                candidates.add(ident)
-        return candidates
-
-    # -- batched path ---------------------------------------------------
+        return {pred.ident for pred in self.match(relation, tup)}
 
     def match_batch(
         self, relation: str, tuples: Iterable[Mapping[str, Any]]
     ) -> List[List[Predicate]]:
         """Match a batch of tuples; returns one result list per tuple.
 
-        Semantically identical to ``[self.match(relation, t) for t in
-        tuples]`` (the differential tests assert exactly that), but the
-        work is restructured around the batch:
-
-        1. the batch's values are grouped per indexed attribute,
-           deduplicated and sorted, and each attribute tree is stabbed
-           **once per distinct value** via ``stab_many`` (sorted order
-           keeps the grouped descent's sibling partitions adjacent and
-           shares search-path prefixes);
-        2. the stab results are fanned back out per tuple (in the
-           paper's single-clause scheme the per-attribute stabbed sets
-           are disjoint, so no per-tuple union is built);
-        3. residual tests run through **compiled evaluators** that
-           skip the clauses already *proven* by the index probe — a
-           stabbed candidate's entry clause is known to match, so only
-           the remaining clauses are tested — and interval-only
-           residuals are **memoized** per batch on ``(ident,
-           restricted-tuple-projection)`` whenever the batch shows
-           enough value repetition for the memo to pay off.
-
-        Function clauses are always (re-)evaluated per tuple, exactly
-        as the per-tuple path does: memoizing them on ``==``-collapsed
-        keys would be unsound for type-sensitive functions (``2`` and
-        ``2.0`` share a key), and the paper assumes nothing about them
-        "except that it returns true or false".
-
-        Tuples the batch stages cannot handle — an unhashable or
-        infinity-sentinel value in an indexed attribute — are routed
-        through the per-tuple path *individually* while the rest of the
-        batch stays batched (one adversarial tuple no longer degrades
-        the whole batch); the columnar plane falls back through this
-        same seam when it bails out.  ``None``-valued and missing
-        attributes are equivalent everywhere (the NULL rule: NULL
-        matches no clause) and never force a fallback.
+        Row *i* holds exactly what ``self.match(relation, tuples[i])``
+        returns — in the same order, since both run :meth:`_match_rows`,
+        unless the columnar plane (tried first when enabled) answers the
+        batch.  A batch only shares more work: one grouped stab per
+        distinct value per attribute, one resolution of the
+        non-indexable residuals.
         """
         tuples = list(tuples)
         if not tuples:
             return []
+        if self.columnar and not self.adaptive and not self.catalog.multi_clause:
+            state = self.catalog.relations.get(relation)
+            if state is not None:
+                rows = self._columnar_match_batch(relation, state, tuples)
+                if rows is not None:
+                    return rows
+        return self._match_rows(relation, tuples, True)
+
+    # -- the scalar loop --------------------------------------------------
+
+    def _match_rows(
+        self, relation: str, tuples: List[Mapping[str, Any]], batched: bool
+    ) -> List[List[Predicate]]:
+        """Route, stab, gather candidates and test residuals for *tuples*.
+
+        1. the tuples' values are grouped per indexed attribute,
+           deduplicated and sorted, and each attribute tree is stabbed
+           **once per distinct value** via ``stab_many``
+           (:meth:`_stab_tables`);
+        2. each tuple's candidates are read back from those tables — in
+           the paper's single-clause scheme the per-attribute stabbed
+           sets are disjoint, so no per-tuple union is built; under
+           multi-clause indexing a candidate must be hit in every tree
+           it is indexed under;
+        3. residual tests run through the **compiled evaluators** in
+           ``state.residuals`` (see
+           :func:`~repro.match.catalog.compile_residual`), which skip
+           the clauses the index probe already *proved*; every
+           non-indexable predicate is tested against every tuple.
+
+        Tuples the grouping cannot take — an unhashable, NaN or
+        infinity-sentinel value in an indexed attribute — stay in this
+        loop: :meth:`_stab_tables` stabs them one value at a time (a NaN
+        yields every entry of the tree), and their candidates are tested
+        with ``Predicate.matches``, because skipping the entry clause is
+        unsound for a sentinel, which a tree stab may admit and
+        ``clause.matches`` rejects.
+        ``None``-valued and missing attributes are equivalent everywhere
+        (the NULL rule: NULL matches no clause) and never force that.
+        """
         observer = self.observer
+        observer.on_route(relation, len(tuples), batched)
         state = self.catalog.relations.get(relation)
         if state is None:
-            observer.on_route(relation, len(tuples), True)
             return [[] for _ in tuples]
-        if self.columnar and not self.adaptive and not self.catalog.multi_clause:
-            rows = self._columnar_match_batch(relation, state, tuples)
-            if rows is not None:
-                return rows
-        stab_tables, memo_on, probes, descents, cache_hits, fallback, attr_counts = (
-            self._batch_stab_tables(state, tuples)
-        )
-        if len(fallback) == len(tuples):
-            # nothing batchable: a pure per-tuple run, no batch events
-            return [self.match(relation, tup) for tup in tuples]
-        fallback_set = frozenset(fallback)
-        observer.on_route(relation, len(tuples) - len(fallback_set), True)
-        observer.on_stab(relation, probes, descents, cache_hits)
-        if attr_counts:
-            observer.on_attribute_stabs(relation, attr_counts)
-        if self.catalog.multi_clause:
-            per_tuple = self._batch_intersect(
-                state, tuples, stab_tables, fallback_set
-            )
-        else:
-            per_tuple = None
-        non_indexable = state.non_indexable
+        stab_tables, unbatchable = self._stab_tables(relation, state, tuples)
+        multi_clause = self.catalog.multi_clause
+        feedback = self.feedback if self.adaptive and not multi_clause else None
+        if feedback is not None:
+            feedback.observe_tuples(relation, len(tuples))
+        indexed_under = state.indexed_under
         predicates = state.predicates
-        residuals = self.catalog.ensure_residuals(state)
+        residuals = state.residuals
         # Non-indexable predicates are tested against *every* tuple:
-        # resolve their entries once per batch into homogeneous
-        # per-kind lists so the tuple loop runs without per-candidate
-        # dict lookups or kind dispatch.
-        ni_trivial: List[Predicate] = []
+        # resolve their entries once per call into homogeneous per-kind
+        # lists so the tuple loop runs without per-candidate dict
+        # lookups or kind dispatch.
         ni_closed: List[Tuple[Any, ...]] = []
-        ni_single: List[Tuple[Hashable, Tuple[Any, ...]]] = []
-        ni_multi: List[Tuple[Hashable, Tuple[Any, ...]]] = []
+        ni_single: List[Tuple[Predicate, str, Any]] = []
+        ni_multi: List[Tuple[Predicate, Any]] = []
+        ni_trivial: List[Predicate] = []
         ni_opaque: List[Predicate] = []
-        for ident in non_indexable:
+        for ident in state.non_indexable:
             entry = residuals[ident]
             kind = entry[0]
             if kind == MULTI:
-                ni_multi.append((ident, entry))
+                ni_multi.append((entry[1], entry[3]))
             elif kind == SINGLE:
-                ni_single.append((ident, entry))
+                ni_single.append((entry[1], entry[2], entry[3]))
             elif kind == CLOSED:
                 ni_closed.append(entry)
             elif kind == TRIVIAL:
                 ni_trivial.append(entry[1])
             else:
                 ni_opaque.append(entry[1])
-        # With the memo disabled (the common case for low-repetition
-        # batches) the non-indexable loops reduce to bare
-        # ``check(value)`` calls over pre-extracted pairs.
-        ni_single_fast = [(e[1], e[2], e[3]) for _, e in ni_single]
-        ni_multi_fast = [(e[1], e[3]) for _, e in ni_multi]
         stab_items = list(stab_tables.items())
-        memo: Dict[Tuple[Hashable, Any], bool] = {}
-        memo_get = memo.get
-        partial = full = memo_hits = 0
+        partial = full = 0
         results: List[List[Predicate]] = []
         for position, tup in enumerate(tuples):
-            if position in fallback_set:
-                # unbatchable value: the per-tuple path reports its own
-                # route/stab/candidate/residual events for this tuple
-                results.append(self.match(relation, tup))
-                continue
             tup_get = tup.get
             row: List[Predicate] = []
             append = row.append
-            # In the paper's single-clause scheme every predicate is
-            # indexed under exactly one attribute, so the per-attribute
-            # stabbed sets are disjoint: iterate them directly instead
-            # of unioning into a per-tuple candidate set.
-            if per_tuple is None:
-                groups: List[Iterable[Hashable]] = []
+            hits = unbatchable.get(position)
+            proven = hits is None
+            if hits is None:
+                hits = []
                 for attribute, table in stab_items:
                     value = tup_get(attribute)
-                    if value is None:
-                        continue
-                    stabbed = table.get(value)
-                    if stabbed:
-                        partial += len(stabbed)
-                        groups.append(stabbed)
+                    if value is not None:
+                        hits.append((attribute, table[value]))
+            if multi_clause:
+                groups: List[Set[Hashable]] = [_hit_in_every_tree(indexed_under, hits)]
             else:
-                candidates = per_tuple[position]
-                partial += len(candidates)
-                groups = [candidates] if candidates else []
+                groups = [stabbed for _, stabbed in hits if stabbed]
             for group in groups:
+                partial += len(group)
+                if feedback is not None:
+                    feedback.observe_candidates(group)
+                if not proven:
+                    for ident in group:
+                        predicate = predicates[ident]
+                        if predicate.matches(tup):
+                            append(predicate)
+                    continue
                 for ident in group:
                     entry = residuals[ident]
                     kind = entry[0]
@@ -384,7 +244,7 @@ class MatchPipeline:
                         # would double the cost of this loop.  The test
                         # is rejection-style, like Interval.contains, so
                         # partially-ordered values (NaN) get the same
-                        # verdict as on the per-tuple path; sentinels
+                        # verdict as ``Predicate.matches``; sentinels
                         # still fail (one bound comparison proves them
                         # outside any closed interval).
                         v = tup_get(entry[2])
@@ -397,49 +257,19 @@ class MatchPipeline:
                         if ok:
                             append(entry[1])
                     elif kind == SINGLE:
-                        # (kind, pred, attr, check, memo_ok)
-                        v = tup_get(entry[2])
-                        if memo_on and entry[4]:
-                            key = (ident, v)
-                            try:
-                                verdict = memo_get(key)
-                            except TypeError:
-                                verdict = entry[3](v)  # unhashable value
-                            else:
-                                if verdict is None:
-                                    verdict = memo[key] = entry[3](v)
-                                else:
-                                    memo_hits += 1
-                            if verdict:
-                                append(entry[1])
-                        elif entry[3](v):
+                        # (kind, pred, attr, check)
+                        if entry[3](tup_get(entry[2])):
                             append(entry[1])
                     elif kind == TRIVIAL:
                         # every clause was proven by the index probes
                         append(entry[1])
                     elif kind == MULTI:
-                        # (kind, pred, attrs, evaluate, memo_ok);
-                        # evaluate fetches its own values, the
-                        # projection tuple is built only as a memo key
-                        if memo_on and entry[4]:
-                            proj = tuple([tup_get(a) for a in entry[2]])
-                            key = (ident, proj)
-                            try:
-                                verdict = memo_get(key)
-                            except TypeError:
-                                verdict = entry[3](tup_get)
-                            else:
-                                if verdict is None:
-                                    verdict = memo[key] = entry[3](tup_get)
-                                else:
-                                    memo_hits += 1
-                            if verdict:
-                                append(entry[1])
-                        elif entry[3](tup_get):
+                        # (kind, pred, attrs, evaluate): evaluate fetches
+                        # its own values
+                        if entry[3](tup_get):
                             append(entry[1])
-                    else:  # OPAQUE: unknown clause subclass
-                        if entry[1].matches(tup):
-                            append(entry[1])
+                    elif entry[1].matches(tup):  # OPAQUE: unknown clause subclass
+                        append(entry[1])
             for entry in ni_closed:
                 v = tup_get(entry[2])
                 try:
@@ -448,78 +278,22 @@ class MatchPipeline:
                     ok = False
                 if ok:
                     append(entry[1])
-            if not memo_on:
-                for predicate, attribute, check in ni_single_fast:
-                    if check(tup_get(attribute)):
-                        append(predicate)
-                for predicate, evaluate in ni_multi_fast:
-                    if evaluate(tup_get):
-                        append(predicate)
-            else:
-                for ident, entry in ni_single:
-                    v = tup_get(entry[2])
-                    if entry[4]:
-                        key = (ident, v)
-                        try:
-                            verdict = memo_get(key)
-                        except TypeError:
-                            verdict = entry[3](v)
-                        else:
-                            if verdict is None:
-                                verdict = memo[key] = entry[3](v)
-                            else:
-                                memo_hits += 1
-                        if verdict:
-                            append(entry[1])
-                    elif entry[3](v):
-                        append(entry[1])
-                for ident, entry in ni_multi:
-                    if entry[4]:
-                        proj = tuple([tup_get(a) for a in entry[2]])
-                        key = (ident, proj)
-                        try:
-                            verdict = memo_get(key)
-                        except TypeError:
-                            verdict = entry[3](tup_get)
-                        else:
-                            if verdict is None:
-                                verdict = memo[key] = entry[3](tup_get)
-                            else:
-                                memo_hits += 1
-                        if verdict:
-                            append(entry[1])
-                    elif entry[3](tup_get):
-                        append(entry[1])
-            for predicate in ni_trivial:
-                append(predicate)
+            for predicate, attribute, check in ni_single:
+                if check(tup_get(attribute)):
+                    append(predicate)
+            for predicate, evaluate in ni_multi:
+                if evaluate(tup_get):
+                    append(predicate)
+            row.extend(ni_trivial)
             for predicate in ni_opaque:
                 if predicate.matches(tup):
                     append(predicate)
             full += len(row)
             results.append(row)
         observer.on_candidates(
-            relation, partial, len(non_indexable) * (len(tuples) - len(fallback_set))
+            relation, partial, len(state.non_indexable) * len(tuples)
         )
-        observer.on_residual(relation, full, memo_hits)
-        if self.adaptive and not self.catalog.multi_clause:
-            feedback = self.feedback
-            # fallback tuples already reported through the per-tuple
-            # path's own adaptive hooks inside self.match
-            feedback.observe_tuples(relation, len(tuples) - len(fallback_set))
-            # candidate counts reconstructed from the stab tables: each
-            # ident stabbed at a value was a candidate once per tuple
-            # carrying that value
-            for attribute, table in stab_tables.items():
-                counts: Dict[Any, int] = {}
-                for position, tup in enumerate(tuples):
-                    if position in fallback_set:
-                        continue
-                    value = tup.get(attribute)
-                    if value is not None:
-                        counts[value] = counts.get(value, 0) + 1
-                for value, stabbed in table.items():
-                    if stabbed:
-                        feedback.observe_candidates(stabbed, counts.get(value, 1))
+        observer.on_residual(relation, full)
         return results
 
     def _columnar_match_batch(
@@ -539,12 +313,10 @@ class MatchPipeline:
         the plane actually answers the batch — the scalar fallback
         must report a virgin stage sequence.
 
-        Fallbacks chain through one seam: the plane bails (``None``)
-        on out-of-domain values, the scalar batch takes over, and the
-        scalar batch in turn routes only the individual tuples *it*
-        cannot handle (unhashable or sentinel values) through the
-        per-tuple path.  ``None``-valued and missing attributes are
-        equivalent at every link (the NULL rule) and bail nothing.
+        The plane bails (``None``) on out-of-domain values and the
+        scalar loop takes the whole batch, unhashable and sentinel
+        values included.  ``None``-valued and missing attributes are
+        equivalent on both (the NULL rule) and bail nothing.
         """
         from . import columnar
 
@@ -573,58 +345,46 @@ class MatchPipeline:
                 self.observer.on_attribute_stabs(relation, attr_counts)
         return rows
 
-    def _batch_stab_tables(
-        self, state: RelationState, tuples: List[Mapping[str, Any]]
+    def _stab_tables(
+        self, relation: str, state: RelationState, tuples: List[Mapping[str, Any]]
     ) -> Tuple[
         Dict[str, Dict[Any, Optional[Set[Hashable]]]],
-        bool,
-        int,
-        int,
-        int,
-        List[int],
-        Optional[Dict[str, int]],
+        Dict[int, List[Tuple[str, Optional[Set[Hashable]]]]],
     ]:
-        """Stab each attribute tree once per distinct batch value.
+        """Run the stab stage for *tuples* and report it to the observer.
 
-        Returns ``(stab_tables, memo_on, probes, descents, cache_hits,
-        fallback, attr_counts)``: per attribute a table ``value ->
-        stabbed idents``
-        (``None`` for incomparable values); whether the batch shows
-        enough value repetition (>= 10% duplicates across indexed
-        attributes) for the residual memo to pay for its bookkeeping;
-        the stab-stage counts for the observer (*probes* is the logical
-        per-tuple per-attribute probe count — identical to what the
-        per-tuple path would report — while *descents* counts the
-        grouped ``stab_many`` descents actually performed); and
-        *fallback* — the positions of tuples the batch stages must not
-        touch, in ascending order.
+        Returns ``(stab_tables, unbatchable)``.  *stab_tables* maps each
+        indexed attribute to a table ``value -> stabbed idents``
+        (``None`` for values incomparable with the tree), filled by one
+        grouped ``stab_many`` descent per tree over the distinct values
+        of the batchable tuples, or from the epoch-keyed stab cache.
 
-        A tuple lands in *fallback* when an indexed attribute holds an
-        unhashable value — the per-value grouping, the stab tables and
-        the residual memo all need to hash it — or an infinity
-        sentinel, for which skipping the proven entry clause would be
-        unsound (``clause.matches`` rejects sentinels that a tree stab
-        may admit).  The caller routes those positions through the
-        per-tuple path, which needs neither hashing nor the
-        proven-entry shortcut; fallback tuples contribute nothing to
-        the returned tables or counts.  ``None``-valued and *missing*
-        attributes are **not** fallback cases: both mean "no probe" —
-        the NULL rule, NULL matches no clause — on the per-tuple, the
-        batched, and the columnar path alike, so such tuples stay
-        batchable.  *attr_counts* is the per-attribute split of
-        *probes* (the ``on_attribute_stabs`` payload), or ``None``
-        when the observer does not want it.
+        A tuple is *unbatchable* when an indexed attribute holds an
+        unhashable value — the per-value grouping and the stab tables
+        need to hash it — an infinity sentinel, for which the caller
+        must not skip the proven entry clause, or a NaN, which
+        ``Interval.contains`` admits to every interval while a tree
+        descent drops it into one gap.  Such a tuple is stabbed one
+        value at a time, a NaN yielding every entry of the tree;
+        *unbatchable* maps its position to its ``(attribute, stabbed
+        idents or None)`` pairs.
+
+        The reported *probes* are logical — one per non-NULL value of an
+        indexed attribute, however the tuples are grouped — while
+        *descents* count the tree descents actually performed.
+        ``None``-valued and *missing* attributes both mean "no probe"
+        (the NULL rule, NULL matches no clause), here and on the
+        columnar plane alike.
         """
         trees = state.trees
         stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]] = {}
-        track = self.observer.wants_attribute_stabs
-        attr_counts: Optional[Dict[str, int]] = {} if track else None
-        if not trees:
-            return stab_tables, False, 0, 0, 0, [], attr_counts
+        unbatchable: Dict[int, List[Tuple[str, Optional[Set[Hashable]]]]] = {}
+        attr_counts: Optional[Dict[str, int]] = (
+            {} if self.observer.wants_attribute_stabs else None
+        )
         attributes = list(trees)
         by_attribute: Dict[str, Set[Any]] = {a: set() for a in attributes}
-        fallback: List[int] = []
-        total = distinct = 0
+        probes = descents = cache_hits = 0
         for position, tup in enumerate(tuples):
             tup_get = tup.get
             staged: List[Tuple[str, Any]] = []
@@ -632,28 +392,55 @@ class MatchPipeline:
             for attribute in attributes:
                 value = tup_get(attribute)
                 if value is None:
-                    continue  # NULL rule: no probe, as on the per-tuple path
+                    continue  # NULL rule: no probe
                 if value is MINUS_INF or value is PLUS_INF:
                     batchable = False
-                    break
-                try:
-                    hash(value)
-                except TypeError:
-                    batchable = False
-                    break
+                else:
+                    try:
+                        hash(value)
+                    except TypeError:
+                        batchable = False
+                    else:
+                        if value != value:  # NaN
+                            batchable = False
                 staged.append((attribute, value))
-            if not batchable:
-                fallback.append(position)
-                continue
-            total += len(staged)
-            for attribute, value in staged:
-                by_attribute[attribute].add(value)
-                if attr_counts is not None:
+            probes += len(staged)
+            if attr_counts is not None:
+                for attribute, _ in staged:
                     attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
-        plans: List[Tuple[str, List[Any]]] = []
+            if batchable:
+                for attribute, value in staged:
+                    by_attribute[attribute].add(value)
+                continue
+            hits: List[Tuple[str, Optional[Set[Hashable]]]] = []
+            for attribute, value in staged:
+                if value != value:
+                    # NaN lies in every interval for Interval.contains,
+                    # but a descent drops it into one gap: every entry
+                    # of the tree is a candidate (read from the catalog,
+                    # since not every backend iterates its idents)
+                    hits.append(
+                        (
+                            attribute,
+                            {
+                                ident
+                                for ident, under in state.indexed_under.items()
+                                if attribute in under
+                            },
+                        )
+                    )
+                    continue
+                descents += 1
+                try:
+                    hits.append((attribute, trees[attribute].stab(value)))
+                except TypeError:
+                    hits.append((attribute, None))  # incomparable value
+            unbatchable[position] = hits
+        cache_size = self.store.stab_cache_size
+        cache: Any = state.stab_cache
+        lru = self.store.cache_lru
         for attribute in attributes:
             values = by_attribute[attribute]
-            distinct += len(values)
             if not values:
                 stab_tables[attribute] = {}
                 continue
@@ -661,16 +448,10 @@ class MatchPipeline:
                 ordered: List[Any] = sorted(values)
             except TypeError:
                 ordered = list(values)  # mixed domains: order is just locality
-            plans.append((attribute, ordered))
-        cache_size = self.store.stab_cache_size
-        cache: Any = state.stab_cache
-        lru = self.store.cache_lru
-        descents = cache_hits = 0
-        for attribute, ordered in plans:
             tree = trees[attribute]
             epoch = getattr(tree, "epoch", None) if cache_size else None
             if epoch is None:
-                # one grouped descent per tree per batch
+                # one grouped descent per tree per call
                 descents += 1
                 stab_tables[attribute] = tree.stab_many(ordered)
                 continue
@@ -701,48 +482,37 @@ class MatchPipeline:
                             # frozen: append-only, never evict
                             cache[(attribute, epoch, value)] = frozenset(stabbed)
             stab_tables[attribute] = table
-        memo_on = total > 0 and (total - distinct) * 10 >= total
-        return stab_tables, memo_on, total, descents, cache_hits, fallback, attr_counts
+        self.observer.on_stab(relation, probes, descents, cache_hits)
+        if attr_counts:
+            self.observer.on_attribute_stabs(relation, attr_counts)
+        return stab_tables, unbatchable
 
-    def _batch_intersect(
-        self,
-        state: RelationState,
-        tuples: List[Mapping[str, Any]],
-        stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]],
-        fallback_set: "frozenset[int]",
-    ) -> List[Set[Hashable]]:
-        """Multi-clause fan-out: candidates hit in *every* indexed tree.
 
-        Positions in *fallback_set* get an empty placeholder — the emit
-        loop matches those tuples per-tuple and never reads the entry
-        (their values may be unhashable, so the tables cannot answer
-        them).
-        """
-        indexed_under = state.indexed_under
-        out: List[Set[Hashable]] = []
-        for position, tup in enumerate(tuples):
-            if position in fallback_set:
-                out.append(set())
-                continue
-            hits: Dict[Hashable, int] = {}
-            probed: Set[str] = set()
-            for attribute, table in stab_tables.items():
-                value = tup.get(attribute)
-                if value is None:
-                    continue
-                stabbed = table.get(value)
-                if stabbed is None:
-                    continue  # incomparable value: attribute not probed
-                probed.add(attribute)
-                for ident in stabbed:
-                    hits[ident] = hits.get(ident, 0) + 1
-            candidates: Set[Hashable] = set()
-            for ident, count in hits.items():
-                attributes = indexed_under[ident]
-                if count == len(attributes) and all(a in probed for a in attributes):
-                    candidates.add(ident)
-            out.append(candidates)
-        return out
+def _hit_in_every_tree(
+    indexed_under: Mapping[Hashable, Tuple[str, ...]],
+    hits: List[Tuple[str, Optional[Set[Hashable]]]],
+) -> Set[Hashable]:
+    """Multi-clause candidates: idents hit in *every* tree they are in.
+
+    *hits* pairs each probed attribute with its stabbed idents, or with
+    ``None`` when the value was incomparable — that attribute counts as
+    not probed, so no predicate indexed under it can be a candidate
+    (that clause cannot match).
+    """
+    counts: Dict[Hashable, int] = {}
+    probed: Set[str] = set()
+    for attribute, stabbed in hits:
+        if stabbed is None:
+            continue
+        probed.add(attribute)
+        for ident in stabbed:
+            counts[ident] = counts.get(ident, 0) + 1
+    candidates: Set[Hashable] = set()
+    for ident, count in counts.items():
+        attributes = indexed_under[ident]
+        if count == len(attributes) and all(a in probed for a in attributes):
+            candidates.add(ident)
+    return candidates
 
 
 # ----------------------------------------------------------------------
@@ -763,37 +533,15 @@ class MatchPipeline:
 
 
 def snapshot_match(snapshot: Any, tup: Mapping[str, Any]) -> List[Predicate]:
-    """All live predicates matching *tup*, deterministically ordered.
-
-    Base matches come first (in the base index's order), overlay
-    matches after (in insertion order).
-    """
-    removed = snapshot.removed
-    results = [
-        pred
-        for pred in snapshot.base.match(snapshot.relation, tup)
-        if pred.ident not in removed
-    ]
-    if snapshot.overlay is not None:
-        overlay_hits = {
-            pred.ident for pred in snapshot.overlay.match(snapshot.relation, tup)
-        }
-        results.extend(
-            pred for pred in snapshot.overlay_preds if pred.ident in overlay_hits
-        )
-    return results
+    """All live predicates matching *tup*: the :func:`snapshot_match_batch`
+    merge on one tuple, with the indexes' per-tuple ``match`` (per-tuple
+    route accounting, no columnar plane)."""
+    return _snapshot_rows(snapshot, [tup], 8, False)[0]
 
 
 def snapshot_match_idents(snapshot: Any, tup: Mapping[str, Any]) -> Set[Hashable]:
     """Identifiers of all live predicates matching *tup*."""
-    idents = {
-        ident
-        for ident in snapshot.base.match_idents(snapshot.relation, tup)
-        if ident not in snapshot.removed
-    }
-    if snapshot.overlay is not None:
-        idents.update(snapshot.overlay.match_idents(snapshot.relation, tup))
-    return idents
+    return {pred.ident for pred in snapshot_match(snapshot, tup)}
 
 
 def snapshot_match_batch(
@@ -803,16 +551,36 @@ def snapshot_match_batch(
 ) -> List[List[Predicate]]:
     """Match several tuples against one epoch.
 
-    Uses the underlying batched fast path on the base.  An overlay of
-    at most *overlay_scan_limit* predicates is evaluated by a direct
-    per-tuple scan instead — running the full batched pipeline (stab
-    tables plus per-tuple assembly) over a second index costs more than
-    testing a handful of predicates outright.  Results are per-tuple
-    lists in the same deterministic order as :func:`snapshot_match`.
+    Base matches come first (in the base index's order), overlay
+    matches after (in insertion order).  An overlay of at most
+    *overlay_scan_limit* predicates is evaluated by a direct per-tuple
+    scan — running the full pipeline (stab tables plus per-tuple
+    assembly) over a second index costs more than testing a handful of
+    predicates outright.
     """
-    tuple_list = list(tuples)
+    return _snapshot_rows(snapshot, list(tuples), overlay_scan_limit, True)
+
+
+def _snapshot_rows(
+    snapshot: Any,
+    tuple_list: List[Mapping[str, Any]],
+    overlay_scan_limit: int,
+    batched: bool,
+) -> List[List[Predicate]]:
+    """The snapshot merge; *batched* picks each index's ``match_batch``
+    over its per-tuple ``match``."""
+    relation = snapshot.relation
+
+    def rows_of(index: Any) -> List[List[Predicate]]:
+        if batched:
+            batch_rows: List[List[Predicate]] = index.match_batch(
+                relation, tuple_list
+            )
+            return batch_rows
+        return [index.match(relation, tup) for tup in tuple_list]
+
     removed = snapshot.removed
-    base_rows = snapshot.base.match_batch(snapshot.relation, tuple_list)
+    base_rows = rows_of(snapshot.base)
     if removed:
         rows: List[List[Predicate]] = [
             [pred for pred in row if pred.ident not in removed]
@@ -828,9 +596,7 @@ def snapshot_match_batch(
                     if pred.matches(tup):
                         row.append(pred)
         else:
-            overlay_rows = snapshot.overlay.match_batch(
-                snapshot.relation, tuple_list
-            )
+            overlay_rows = rows_of(snapshot.overlay)
             for row, overlay_row in zip(rows, overlay_rows):
                 if not overlay_row:
                     continue

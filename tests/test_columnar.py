@@ -260,6 +260,24 @@ def test_concurrent_facade_with_columnar_snapshots():
         assert ident_rows(index.match_batch("r", batch)) == expected
 
 
+def test_concurrent_single_tuple_reads_skip_the_plane():
+    """A snapshot's per-tuple read runs the base's per-tuple match: no
+    columnar plane and no batch route for one tuple."""
+    rng = random.Random(22)
+    predicates = build_predicates(rng, 40)
+    batch = [make_tuple(rng) for _ in range(20)]
+    oracle = loaded(PredicateIndex(tree_factory="flat"), predicates)
+    with ConcurrentPredicateIndex(tree_factory="flat", columnar=True) as index:
+        for predicate in predicates:
+            index.add(predicate)
+        index.compact()
+        base = index.snapshot("r").base
+        for tup in batch:
+            assert index.match_idents("r", tup) == oracle.match_idents("r", tup)
+        assert base.stats.batches_matched == 0
+        assert base.stats.tuples_matched == len(batch)
+
+
 def test_columnar_capability_flags():
     info = DEFAULT_REGISTRY.describe_matcher("columnar")
     assert info["capabilities"] == {

@@ -1,4 +1,4 @@
-"""Differential fuzzing: every matcher strategy against brute force.
+"""Differential fuzzing: every registered matcher against brute force.
 
 Random schemas, random conditions (using every clause shape the
 language supports), and random mutation scripts, replayed against the
@@ -14,8 +14,9 @@ import pytest
 
 from repro import CollectAction, Database, RuleEngine
 from repro.lang import compile_condition
+from repro.match.registry import DEFAULT_REGISTRY
 
-STRATEGIES = ["ibs", "ibs-avl", "ibs-rb", "sequential", "hash", "locking", "rtree"]
+STRATEGIES = DEFAULT_REGISTRY.matchers()
 FNS = {"isodd": lambda x: x % 2 == 1}
 DEPTS = ["Shoe", "Toy", "Food", "Garden"]
 
@@ -66,8 +67,17 @@ def random_script(rng: random.Random, length: int) -> List[Tuple]:
     return ops
 
 
+def build_matcher(strategy: str, tmp_path):
+    """A fresh matcher; the disk tiers keep their segments in *tmp_path*."""
+    if strategy.startswith("disk"):
+        return DEFAULT_REGISTRY.create_matcher(
+            strategy, data_dir=str(tmp_path / strategy)
+        )
+    return DEFAULT_REGISTRY.create_matcher(strategy)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_differential_matchers(seed):
+def test_differential_matchers(seed, tmp_path):
     rng = random.Random(seed)
     conditions = []
     while len(conditions) < 8:
@@ -83,22 +93,27 @@ def test_differential_matchers(seed):
         db = Database()
         db.create_relation("r", ["a", "b", "dept"])
         collect = CollectAction()
-        engine = RuleEngine(db, matcher=strategy, functions=FNS)
-        for index, text in enumerate(conditions):
-            engine.create_rule(
-                f"rule{index}", on="r", condition=text, action=collect,
-                on_events=("insert", "update"),
-            )
-        live: List[int] = []
-        step_rng = random.Random(seed + 999)
-        for op, tup in script:
-            if op == "insert":
-                live.append(db.insert("r", dict(tup)))
-            elif op == "update" and live:
-                db.update("r", step_rng.choice(live), dict(tup))
-            elif op == "delete" and live:
-                tid = live.pop(step_rng.randrange(len(live)))
-                db.delete("r", tid)
+        matcher = build_matcher(strategy, tmp_path)
+        try:
+            engine = RuleEngine(db, matcher=matcher, functions=FNS)
+            for index, text in enumerate(conditions):
+                engine.create_rule(
+                    f"rule{index}", on="r", condition=text, action=collect,
+                    on_events=("insert", "update"),
+                )
+            live: List[int] = []
+            step_rng = random.Random(seed + 999)
+            for op, tup in script:
+                if op == "insert":
+                    live.append(db.insert("r", dict(tup)))
+                elif op == "update" and live:
+                    db.update("r", step_rng.choice(live), dict(tup))
+                elif op == "delete" and live:
+                    tid = live.pop(step_rng.randrange(len(live)))
+                    db.delete("r", tid)
+        finally:
+            if hasattr(matcher, "close"):
+                matcher.close()
         transcripts[strategy] = [
             (name, tuple(sorted(tup.items()))) for name, tup in collect.records
         ]

@@ -1,14 +1,18 @@
-"""Batched matching: ``match_batch`` must equal per-tuple ``match``.
+"""Batched matching: ``match_batch`` and per-tuple ``match`` against an oracle.
 
-The batched fast path shares index probes across a batch (one grouped
-stab per distinct value per attribute), skips the entry clause the stab
-already proved, and memoizes residual tests on duplicate-heavy batches.
-None of that may change a single answer: every test here compares
-against the per-tuple path, which the brute-force suites already pin to
-the paper's semantics.
+Both entry points run one scalar loop: the batch shares index probes
+(one grouped stab per distinct value per attribute) and both skip the
+entry clause the stab already proved.  Comparing one path with the
+other would therefore pass even if the shared loop were wrong, so every
+test here computes its expected rows independently, from
+``Predicate.matches`` over every registered predicate — including for
+the values the grouped stab cannot take (NaN, the infinity sentinels,
+unhashable values) and for ``None``-valued or missing attributes, with
+multi-clause indexing and the stab cache on.
 """
 
 import functools
+import pickle
 import random
 
 import pytest
@@ -26,18 +30,53 @@ from repro import (
     Interval,
     IntervalClause,
     MINUS_INF,
+    PLUS_INF,
     Predicate,
     PredicateIndex,
     RuleEngine,
 )
+from repro.match.registry import DEFAULT_REGISTRY
 
 
 def is_odd(x):
-    return x % 2 == 1
+    return isinstance(x, int) and x % 2 == 1
 
 
 BACKENDS = {"ibs": IBSTree, "flat": FlatIBSTree}
+#: every registered tree backend a ``PredicateIndex`` can host (the
+#: static ones cannot take incremental inserts)
+HOSTABLE_BACKENDS = [
+    name
+    for name in DEFAULT_REGISTRY.tree_backends()
+    if DEFAULT_REGISTRY.describe_backend(name)["supports_dynamic_insert"]
+]
 ATTRS = ["a", "b", "c"]
+NAN = float("nan")
+#: index options every oracle test runs under
+OPTIONS = {
+    "single": {},
+    "multi-clause": {"multi_clause": True},
+    "stab-cache": {"stab_cache_size": 16},
+}
+
+
+@functools.total_ordering
+class UnhashablePoint:
+    """Comparable with ints but not hashable — defeats value grouping."""
+
+    __hash__ = None
+
+    def __init__(self, v):
+        self.v = v
+
+    def _key(self, other):
+        return other.v if isinstance(other, UnhashablePoint) else other
+
+    def __eq__(self, other):
+        return self.v == self._key(other)
+
+    def __lt__(self, other):
+        return self.v < self._key(other)
 
 
 def build_predicates(rng, count):
@@ -75,117 +114,168 @@ def build_predicates(rng, count):
     return predicates
 
 
-def random_batch(rng, size, duplicate_heavy=False):
+def edge_value(rng):
+    """A value the grouped stab cannot take, a NULL, or a missing key."""
+    return rng.choice(
+        [NAN, MINUS_INF, PLUS_INF, None, "missing", UnhashablePoint(rng.randint(0, 22))]
+    )
+
+
+def random_batch(rng, size, duplicate_heavy=False, edges=False):
+    def one():
+        tup = {attr: rng.randint(0, 22) for attr in ATTRS}
+        if edges:
+            for attr in ATTRS:
+                if rng.random() < 0.3:
+                    value = edge_value(rng)
+                    if value == "missing":
+                        del tup[attr]
+                    else:
+                        tup[attr] = value
+        return tup
+
     if duplicate_heavy:
-        pool = [
-            {attr: rng.randint(0, 22) for attr in ATTRS} for _ in range(max(1, size // 4))
-        ]
+        pool = [one() for _ in range(max(1, size // 4))]
         return [dict(rng.choice(pool)) for _ in range(size)]
-    return [{attr: rng.randint(0, 22) for attr in ATTRS} for _ in range(size)]
+    return [one() for _ in range(size)]
 
 
 def ident_rows(rows):
     return [{pred.ident for pred in row} for row in rows]
 
 
+def oracle_rows(index, batch):
+    """Expected ident sets: ``Predicate.matches`` over every registered
+    predicate of relation ``r``, no index involved."""
+    predicates = index.predicates_for("r")
+    return [{p.ident for p in predicates if p.matches(tup)} for tup in batch]
+
+
+def assert_both_paths_match_oracle(index, batch):
+    expected = oracle_rows(index, batch)
+    assert ident_rows(index.match_batch("r", batch)) == expected
+    assert [index.match_idents("r", tup) for tup in batch] == expected
+    return expected
+
+
 class TestDifferential:
-    """match_batch([t1..tn]) == [match(t1)..match(tn)] in every mode."""
+    """match_batch and per-tuple match equal the oracle in every mode."""
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("multi_clause", [False, True])
+    @pytest.mark.parametrize("stab_cache_size", [0, 16])
+    @pytest.mark.parametrize("edges", [False, True], ids=["ints", "edges"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_randomized(self, backend, multi_clause, seed):
+    def test_randomized(self, backend, multi_clause, stab_cache_size, edges, seed):
         rng = random.Random(seed)
         predicates = build_predicates(rng, 40)
         index = PredicateIndex(
-            tree_factory=BACKENDS[backend], multi_clause=multi_clause
+            tree_factory=BACKENDS[backend],
+            multi_clause=multi_clause,
+            stab_cache_size=stab_cache_size,
         )
         for pred in predicates:
             index.add(pred)
         for trial in range(6):
-            batch = random_batch(rng, 25, duplicate_heavy=trial % 2 == 0)
-            expected = [index.match_idents("r", tup) for tup in batch]
-            assert ident_rows(index.match_batch("r", batch)) == expected
+            batch = random_batch(
+                rng, 25, duplicate_heavy=trial % 2 == 0, edges=edges
+            )
+            assert_both_paths_match_oracle(index, batch)
         # removal keeps the compiled-residual table consistent
         for pred in predicates[::3]:
             index.remove(pred.ident)
-        batch = random_batch(rng, 20)
-        expected = [index.match_idents("r", tup) for tup in batch]
-        assert ident_rows(index.match_batch("r", batch)) == expected
+        assert_both_paths_match_oracle(index, random_batch(rng, 20, edges=edges))
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
     @settings(max_examples=40, deadline=None)
     @given(
         batch=st.lists(
             st.fixed_dictionaries(
-                {attr: st.integers(min_value=-2, max_value=25) for attr in ATTRS}
+                {},
+                optional={
+                    attr: st.one_of(
+                        st.integers(min_value=-2, max_value=25),
+                        st.sampled_from([NAN, MINUS_INF, PLUS_INF, None]),
+                        st.builds(UnhashablePoint, st.integers(-2, 25)),
+                    )
+                    for attr in ATTRS
+                },
             ),
             max_size=20,
         )
     )
-    def test_hypothesis_batches(self, backend, batch):
-        index = PredicateIndex(tree_factory=BACKENDS[backend])
+    def test_hypothesis_batches(self, backend, options, batch):
+        index = PredicateIndex(tree_factory=BACKENDS[backend], **options)
         for pred in build_predicates(random.Random(99), 30):
             index.add(pred)
-        expected = [index.match_idents("r", tup) for tup in batch]
-        assert ident_rows(index.match_batch("r", batch)) == expected
+        assert_both_paths_match_oracle(index, batch)
 
-    def test_missing_attributes_treated_as_per_tuple(self):
-        index = PredicateIndex()
+    @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
+    def test_missing_attributes_treated_as_per_tuple(self, options):
+        index = PredicateIndex(**options)
         for pred in build_predicates(random.Random(5), 25):
             index.add(pred)
-        batch = [{"a": 3}, {"b": 7, "c": 2}, {}]
-        expected = [index.match_idents("r", tup) for tup in batch]
-        assert ident_rows(index.match_batch("r", batch)) == expected
+        assert_both_paths_match_oracle(index, [{"a": 3}, {"b": 7, "c": 2}, {}])
 
-
-@functools.total_ordering
-class UnhashablePoint:
-    """Comparable with ints but not hashable — defeats value grouping."""
-
-    __hash__ = None
-
-    def __init__(self, v):
-        self.v = v
-
-    def _key(self, other):
-        return other.v if isinstance(other, UnhashablePoint) else other
-
-    def __eq__(self, other):
-        return self.v == self._key(other)
-
-    def __lt__(self, other):
-        return self.v < self._key(other)
+    @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
+    def test_pickled_index_matches_oracle(self, options):
+        """Compiled residuals are closures: a pickled index (the process
+        pool ships frozen ones to its workers) recompiles them on load."""
+        rng = random.Random(7)
+        index = PredicateIndex(**options)
+        index.add_many(build_predicates(rng, 40))
+        index.freeze()
+        clone = pickle.loads(pickle.dumps(index))
+        batch = random_batch(rng, 30, edges=True)
+        assert_both_paths_match_oracle(clone, batch)
 
 
 class TestFallbacks:
-    """Values the grouped stab cannot handle fall back, answers unchanged."""
+    """Values the grouped stab cannot take stay exact."""
 
-    def test_unhashable_value_falls_back(self):
-        index = PredicateIndex()
+    @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
+    def test_unhashable_value_falls_back(self, options):
+        index = PredicateIndex(**options)
         index.add(Predicate("r", [IntervalClause("a", Interval.closed(0, 10))]))
         index.add(Predicate("r", [IntervalClause("a", Interval.closed(20, 30))]))
         batch = [{"a": UnhashablePoint(5)}, {"a": 25}, {"a": 99}]
-        expected = [index.match_idents("r", tup) for tup in batch]
-        assert ident_rows(index.match_batch("r", batch)) == expected
+        expected = assert_both_paths_match_oracle(index, batch)
         assert expected[0] and expected[1] and not expected[2]
 
-    def test_sentinel_value_falls_back(self):
-        index = PredicateIndex()
+    @pytest.mark.parametrize("backend", HOSTABLE_BACKENDS)
+    @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
+    @pytest.mark.parametrize(
+        "value", [MINUS_INF, PLUS_INF, NAN], ids=["minus-inf", "plus-inf", "nan"]
+    )
+    def test_sentinel_value_falls_back(self, backend, options, value):
+        index = PredicateIndex(
+            tree_factory=DEFAULT_REGISTRY.tree_factory(backend), **options
+        )
         index.add(Predicate("r", [IntervalClause("a", Interval.closed(0, 10))]))
         index.add(Predicate("r", [IntervalClause("a", Interval.at_most(50))]))
-        batch = [{"a": MINUS_INF}, {"a": 5}, {"a": 40}]
-        expected = [index.match_idents("r", tup) for tup in batch]
-        assert ident_rows(index.match_batch("r", batch)) == expected
+        index.add(Predicate("r", [IntervalClause("a", Interval.at_least(20))]))
+        index.add(
+            Predicate(
+                "r",
+                [
+                    IntervalClause("a", Interval.at_least(5)),
+                    IntervalClause("b", Interval.closed(0, 3)),
+                ],
+            )
+        )
+        batch = [{"a": value}, {"a": value, "b": 1}, {"a": 5}, {"a": 40}]
+        expected = assert_both_paths_match_oracle(index, batch)
+        # the sentinels lie in no interval; NaN lies in every one
+        # (Interval.contains is rejection-style)
+        assert bool(expected[1]) == (value is NAN)
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_one_adversarial_tuple_does_not_degrade_the_batch(self, backend):
-        """Unbatchable values fall back per *tuple*, not per batch.
+        """Unbatchable values are handled per *tuple*, not per batch.
 
-        The rest of the batch must still go through the batched stages
-        (one batch route event), and the logical counters must stay
-        path-independent — the fallback tuples report theirs through
-        the per-tuple path's own events.
+        The batch still reports one batch route event, and the logical
+        counters stay path-independent.
         """
         def loaded():
             index = PredicateIndex(tree_factory=BACKENDS[backend])
@@ -201,11 +291,13 @@ class TestFallbacks:
             {"a": UnhashablePoint(5), "b": 3},
             {"a": 5, "b": 100},
             {"a": MINUS_INF},
+            {"a": NAN, "b": 4},
             {"a": 7},
             {"b": None},
         ]
         serial = loaded()
-        expected = [serial.match_idents("r", tup) for tup in batch]
+        expected = oracle_rows(serial, batch)
+        assert [serial.match_idents("r", tup) for tup in batch] == expected
         batched = loaded()
         assert ident_rows(batched.match_batch("r", batch)) == expected
         assert batched.stats.batches_matched == 1
@@ -236,7 +328,7 @@ class TestFallbacks:
             per_tuple = [serial.match_idents("r", tup) for tup in batch]
             batched = loaded()
             rows = ident_rows(batched.match_batch("r", batch))
-            assert rows == per_tuple
+            assert rows == per_tuple == oracle_rows(batched, batch)
             assert serial.stats.logical_counts() == batched.stats.logical_counts()
             runs[name] = (rows, batched.stats.logical_counts())
         assert runs["null"] == runs["missing"]
@@ -264,10 +356,10 @@ class TestFallbacks:
         assert index.match_batch("nowhere", []) == []
 
 
-class TestMemoization:
-    """Residual memoization: on for duplicate-heavy batches, always sound."""
+class TestDuplicateBatches:
+    """Residuals on duplicate-heavy batches are evaluated per tuple."""
 
-    def test_interval_residual_memoizes_duplicates(self):
+    def test_interval_residual_on_duplicates(self):
         index = PredicateIndex()
         index.add(
             Predicate(
@@ -278,12 +370,11 @@ class TestMemoization:
                 ],
             )
         )
-        batch = [{"a": 1, "b": 2}] * 5
-        rows = index.match_batch("r", batch)
-        assert all(len(row) == 1 for row in rows)
-        assert index.stats.residual_memo_hits == 4
+        batch = [{"a": 1, "b": 2}] * 4 + [{"a": 1, "b": 60}]
+        expected = assert_both_paths_match_oracle(index, batch)
+        assert [len(row) for row in expected] == [1, 1, 1, 1, 0]
 
-    def test_function_residual_never_memoized(self):
+    def test_function_residual_on_duplicates(self):
         index = PredicateIndex()
         index.add(
             Predicate(
@@ -291,13 +382,12 @@ class TestMemoization:
                 [EqualityClause("a", 1), FunctionClause("b", is_odd, name="is_odd")],
             )
         )
-        batch = [{"a": 1, "b": 3}] * 5
-        rows = index.match_batch("r", batch)
-        assert all(len(row) == 1 for row in rows)
-        assert index.stats.residual_memo_hits == 0
+        batch = [{"a": 1, "b": 3}] * 4 + [{"a": 1, "b": 4}]
+        expected = assert_both_paths_match_oracle(index, batch)
+        assert [len(row) for row in expected] == [1, 1, 1, 1, 0]
 
     def test_equal_but_distinct_types_stay_correct(self):
-        """2 == 2.0 share a memo key; only type-blind tests may be cached."""
+        """2 == 2.0, but a type-sensitive function tells them apart."""
         index = PredicateIndex()
         index.add(
             Predicate(
@@ -309,8 +399,7 @@ class TestMemoization:
             )
         )
         batch = [{"a": 1, "b": 2}, {"a": 1, "b": 2.0}] * 3
-        expected = [index.match_idents("r", tup) for tup in batch]
-        assert ident_rows(index.match_batch("r", batch)) == expected
+        expected = assert_both_paths_match_oracle(index, batch)
         assert expected[0] and not expected[1]
 
 

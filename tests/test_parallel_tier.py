@@ -37,7 +37,7 @@ from repro.parallel import (
     shared_memory_available,
 )
 from repro.parallel.shm import SegmentRegistry, attach_bytes, create_segment
-from repro.predicates.clauses import IntervalClause
+from repro.predicates.clauses import FunctionClause, IntervalClause
 from repro.predicates.predicate import Predicate
 from repro.testing.faults import FaultInjector, injected
 
@@ -66,6 +66,11 @@ def interval_pred(ident, low, high, attribute="x", relation="r"):
     )
 
 
+def is_even(value):
+    # module level, so predicates using it pickle into the workers
+    return value % 2 == 0
+
+
 def build_shard(seed, backend=IBSTree, predicates=150, relation="r"):
     rng = random.Random(seed)
     shard = RelationShard(
@@ -75,6 +80,30 @@ def build_shard(seed, backend=IBSTree, predicates=150, relation="r"):
     for i in range(predicates):
         low = rng.randint(0, 400)
         preds.append(interval_pred(f"p{i}", low, low + rng.randint(5, 60)))
+    # residuals compiled to closures (two clauses, a function clause)
+    # must survive the trip to the workers
+    for i in range(10):
+        low = rng.randint(0, 400)
+        preds.append(
+            Predicate(
+                relation,
+                [
+                    IntervalClause("x", Interval.closed(low, low + 80)),
+                    IntervalClause("y", Interval.closed(0, rng.randint(10, 40))),
+                ],
+                ident=f"xy{i}",
+            )
+        )
+    preds.append(
+        Predicate(
+            relation,
+            [
+                IntervalClause("x", Interval.closed(100, 300)),
+                FunctionClause("x", is_even),
+            ],
+            ident="even",
+        )
+    )
     shard.add_many(preds)
     # a handful of overlay entries so the inline-overlay path is live
     for i in range(5):
@@ -84,7 +113,9 @@ def build_shard(seed, backend=IBSTree, predicates=150, relation="r"):
 
 def workload(seed, size=240):
     rng = random.Random(seed * 7919 + 13)
-    return [{"x": rng.randint(-20, 470)} for _ in range(size)]
+    return [
+        {"x": rng.randint(-20, 470), "y": rng.randint(0, 50)} for _ in range(size)
+    ]
 
 
 def canonical(snapshot, tuples):
@@ -439,7 +470,7 @@ class TestReclamation:
             from repro.core.predicate_index import PredicateIndex
             from repro.core.intervals import Interval
             from repro.parallel import ProcessMatchPool
-            from repro.predicates.clauses import IntervalClause
+            from repro.predicates.clauses import FunctionClause, IntervalClause
             from repro.predicates.predicate import Predicate
             from repro.testing.faults import FaultInjector, injected
 

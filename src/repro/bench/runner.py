@@ -1257,8 +1257,6 @@ def run_concurrency(
       a small overlay; the frozen base's trees never bump their
       epochs, so its stab cache stays warm across writes and
       steady-state batches skip the tree entirely.
-    * ``snapshot`` / ``thread`` — the same facade fanning each batch
-      over a thread pool, one row per worker count in *workers_curve*.
     * ``snapshot`` / ``process`` — the supervised multiprocess tier:
       shard bases published once into shared memory, batches fanned to
       worker processes over framed pipes, one row per worker count.
@@ -1270,14 +1268,12 @@ def run_concurrency(
     *workers_curve* defaults to ``(1, 2, 4, os.cpu_count())`` plus the
     legacy *workers* count, deduplicated and sorted.
 
-    Honesty note: this container has **one CPU and the GIL**, so
-    neither pool tier can win by parallelism — any speedup over
-    ``serial`` is the snapshot design's *write isolation* (cache
-    retention), thread rows pay a small dispatch overhead on top of
-    the inline row, and process rows additionally pay pickling + IPC
-    per batch.  On a multi-core host the process rows overlap real
-    CPU work across cores.  ``speedup`` is relative to the ``serial``
-    row.
+    Honesty note: on a single CPU the process tier cannot win by
+    parallelism — any speedup over ``serial`` is the snapshot design's
+    *write isolation* (cache retention), and process rows pay pickling
+    + IPC per batch on top of the inline row.  On a multi-core host the
+    process rows overlap real CPU work across cores.  ``speedup`` is
+    relative to the ``serial`` row.
     """
     if workers_curve is None:
         workers_curve = (1, 2, 4, os.cpu_count() or 1)
@@ -1340,15 +1336,13 @@ def run_concurrency(
     sample = batches[0][:20]
     reference = [{p.ident for p in serial.match("r", tup)} for tup in sample]
 
-    def build_facade(pool_kind: str, worker_count: int) -> Any:
-        options: Dict[str, Any] = {
-            "tree_factory": "flat",
-            "workers": worker_count,
-            "snapshot_cache_size": cache_size,
-        }
-        if pool_kind.startswith("process"):
-            options["pool"] = "process"
-        index = DEFAULT_REGISTRY.create_matcher("ibs-concurrent", **options)
+    def build_facade(worker_count: int) -> Any:
+        index = DEFAULT_REGISTRY.create_matcher(
+            "ibs-concurrent",
+            tree_factory="flat",
+            workers=worker_count,
+            snapshot_cache_size=cache_size,
+        )
         index.add_many(predicate_list)
         return index
 
@@ -1359,13 +1353,12 @@ def run_concurrency(
         ("serial", "none", 0),
         ("snapshot", "inline", 0),
     ]
-    configurations += [("snapshot", "thread", count) for count in curve]
     configurations += [("snapshot", "process", count) for count in curve]
     configurations.append(("snapshot", "process-degraded", curve[-1]))
     for mode, pool_kind, worker_count in configurations:
         # Build, answer-check, time, and tear down each configuration in
-        # sequence so process pools fork before any thread pool exists.
-        index = serial if mode == "serial" else build_facade(pool_kind, worker_count)
+        # sequence so at most one process pool is alive at a time.
+        index = serial if mode == "serial" else build_facade(worker_count)
         try:
             if pool_kind == "process-degraded":
                 index.match_batch("r", sample)  # instantiate the pool first
@@ -1376,7 +1369,7 @@ def run_concurrency(
                 ]
                 if answers != reference:
                     raise AssertionError(
-                        f"concurrent facade (pool={pool_kind}, "
+                        f"concurrent facade ({pool_kind} row, "
                         f"workers={worker_count}) disagrees with the mutable index"
                     )
             mixed_rounds(index)  # warm-up: steady-state caches

@@ -67,10 +67,6 @@ __all__ = ["PredicateIndex", "MatchStatistics"]
 
 TreeFactory = Callable[[], IBSTree]
 
-#: Backwards-compatible alias: the per-relation state record used to be
-#: the private ``_RelationIndex`` class defined in this module.
-_RelationIndex = RelationState
-
 
 class PredicateIndex:
     """Figure 1: hash on relation name + per-attribute IBS-trees.
@@ -117,17 +113,6 @@ class PredicateIndex:
     min_feedback_tuples:
         Minimum observed tuples per relation before a migration
         decision may be made (guards against noise on tiny samples).
-    migration_ratio:
-        Migrate only when the best alternative clause's estimated
-        selectivity is below ``observed * migration_ratio`` — i.e. the
-        alternative must promise a decisive improvement, not a tie.
-    auto_retune_interval:
-        When set (and ``adaptive``), :meth:`retune` runs automatically
-        every N clock ops (see :mod:`repro.maintenance` for the op
-        semantics — matched tuples plus predicate writes); ``None``
-        leaves retuning manual.  Sugar for a
-        :class:`~repro.maintenance.MaintenancePolicy` with
-        ``retune_interval`` set.
     columnar:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
@@ -137,7 +122,7 @@ class PredicateIndex:
         relation's mutation version, and silently skipped when NumPy
         is not installed or the batch leaves the plane's numeric
         domain; the scalar pipeline remains the semantics of record.
-        Ignored under ``adaptive`` and multi-clause indexing.
+        Cannot be combined with ``adaptive`` or ``multi_clause``.
     auto_backend:
         Enable online per-attribute backend auto-selection (see
         :mod:`repro.match.autoselect`): the pipeline reports
@@ -149,12 +134,6 @@ class PredicateIndex:
         :meth:`retune` applies to entry clauses, one level down the
         storage stack.  Also reachable as
         ``Database(matcher="auto")`` through the registry.
-    autoselect_interval:
-        When set (and ``auto_backend``), :meth:`autoselect` runs
-        automatically every N clock ops; ``None`` leaves tuning
-        passes manual.  Sugar for a
-        :class:`~repro.maintenance.MaintenancePolicy` with
-        ``autoselect_interval`` set.
     auto_candidates:
         Candidate backend names for auto-selection; defaults to the
         four IBS-tree variants.
@@ -165,18 +144,16 @@ class PredicateIndex:
     min_evidence_ops:
         Evidence floor for auto-selection: no migration before this
         many logical operations were observed for an attribute.
-    auto_migration_ratio:
-        Auto-selection hysteresis: migrate only when the best
-        candidate prices below ``current * auto_migration_ratio``.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
         periodic mechanism (retune, autoselect, disk-tier eviction)
         through one deterministic
-        :class:`~repro.maintenance.MaintenanceScheduler`.  Policy
-        intervals take precedence over the legacy
-        ``auto_retune_interval`` / ``autoselect_interval`` sugar; the
-        scheduler's clock advances once per matched tuple and once per
-        predicate write, and never while the index is frozen.  See
+        :class:`~repro.maintenance.MaintenanceScheduler`: the policy's
+        ``retune_interval`` (with ``adaptive``) and
+        ``autoselect_interval`` (with ``auto_backend``) are the only
+        way to run those passes periodically.  The scheduler's clock
+        advances once per matched tuple and once per predicate write,
+        and never while the index is frozen.  See
         :meth:`maintenance_report`.
     """
 
@@ -191,15 +168,11 @@ class PredicateIndex:
         stab_cache_size: int = 0,
         adaptive: bool = False,
         min_feedback_tuples: int = 256,
-        migration_ratio: float = 0.5,
-        auto_retune_interval: Optional[int] = None,
         columnar: bool = False,
         auto_backend: bool = False,
-        autoselect_interval: Optional[int] = None,
         auto_candidates: Optional[Iterable[str]] = None,
         auto_cost_table: Any = None,
         min_evidence_ops: int = 512,
-        auto_migration_ratio: float = 0.8,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         memory_budget: Optional[int] = None,
@@ -216,8 +189,12 @@ class PredicateIndex:
         elif tree_factory is IBSTree:
             backend_name = "ibs"
         self._tree_factory = tree_factory
+        if columnar and (adaptive or multi_clause):
+            raise ValueError(
+                "columnar=True cannot be combined with adaptive=True or "
+                "multi_clause=True"
+            )
         self._adaptive = bool(adaptive)
-        self._migration_ratio = float(migration_ratio)
         # Imported lazily: repro.core must stay importable before
         # repro.db finishes initialising (db imports core).
         from ..db.statistics import EntryClauseFeedback
@@ -261,7 +238,6 @@ class PredicateIndex:
                 else DEFAULT_CANDIDATES,
                 cost_table=auto_cost_table,
                 min_evidence_ops=min_evidence_ops,
-                migration_ratio=auto_migration_ratio,
                 default_backend=backend_name,
             )
             pipeline_observer = CompositeObserver(
@@ -276,60 +252,38 @@ class PredicateIndex:
             columnar=bool(columnar),
         )
         self._frozen = False
-        self._maintenance = self._build_maintenance(
-            maintenance, auto_retune_interval, autoselect_interval
-        )
+        self._maintenance = self._build_maintenance(maintenance)
 
     def _build_maintenance(
-        self,
-        policy: Optional[MaintenancePolicy],
-        retune_interval: Optional[int],
-        autoselect_interval: Optional[int],
+        self, policy: Optional[MaintenancePolicy]
     ) -> Optional[MaintenanceScheduler]:
         """Register this index's periodic mechanisms as scheduler tasks.
 
-        The legacy ``auto_retune_interval`` / ``autoselect_interval``
-        constructor sugar maps to policy intervals (the policy wins
-        when both are given).  When nothing is periodic and no policy
-        was passed, no scheduler is built and the hot paths skip
+        Without a policy no scheduler is built and the hot paths skip
         ticking entirely.
         """
-        if policy is not None:
-            if policy.retune_interval is not None:
-                retune_interval = policy.retune_interval
-            if policy.autoselect_interval is not None:
-                autoselect_interval = policy.autoselect_interval
-        wants_retune = self._adaptive and retune_interval is not None
-        wants_autoselect = (
-            self._selector is not None and autoselect_interval is not None
-        )
-        wants_evict = (
-            policy is not None
-            and policy.evict_interval is not None
-            and hasattr(self._store, "maybe_evict")
-        )
-        if policy is None and not (wants_retune or wants_autoselect):
+        if policy is None:
             return None
         scheduler = MaintenanceScheduler(
             policy=policy, observer=self._pipeline.observer
         )
-        if wants_retune:
+        if self._adaptive and policy.retune_interval is not None:
             scheduler.register_callback(
                 "retune",
                 lambda budget, relation: self.retune(relation),
-                interval_ops=retune_interval,
+                interval_ops=policy.retune_interval,
                 priority=10,
                 cost_class="cheap",
             )
-        if wants_autoselect:
+        if self._selector is not None and policy.autoselect_interval is not None:
             scheduler.register_callback(
                 "autoselect",
                 lambda budget, relation: self.autoselect(relation),
-                interval_ops=autoselect_interval,
+                interval_ops=policy.autoselect_interval,
                 priority=5,
                 cost_class="bulk",
             )
-        if wants_evict:
+        if policy.evict_interval is not None and hasattr(self._store, "maybe_evict"):
             scheduler.register_callback(
                 "evict",
                 lambda budget, relation: self._store.maybe_evict(),
@@ -654,7 +608,8 @@ class PredicateIndex:
         matched tuples that admitted it as a candidate — against the
         estimated selectivity of its best indexable clause on a
         *different* attribute.  When the alternative's estimate is below
-        ``observed * migration_ratio``, the entry clause is migrated to
+        ``observed * MIGRATION_RATIO`` (0.5, in
+        :mod:`repro.match.catalog`), the entry clause is migrated to
         the alternative's attribute tree: the static "most selective
         clause" choice the paper fixes at registration time is revised
         with live evidence.
@@ -672,7 +627,6 @@ class PredicateIndex:
         return self._catalog.retune(
             self._store,
             self.feedback,
-            self._migration_ratio,
             self._observer,
             relation,
         )

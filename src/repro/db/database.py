@@ -184,8 +184,7 @@ class Database:
         database, routing its periodic work — retune, backend
         auto-selection, shard compaction, disk checkpoints, eviction —
         through one deterministic scheduler.  ``None`` (the default)
-        leaves every mechanism manual or on its legacy per-matcher
-        sugar.
+        leaves every mechanism manual.
     """
 
     def __init__(

@@ -61,6 +61,7 @@ from .observer import MatchObserver
 from .store import TreeStore
 
 __all__ = [
+    "AUTO_MIGRATION_RATIO",
     "DEFAULT_CANDIDATES",
     "EvidenceObserver",
     "AttributeProfile",
@@ -77,6 +78,12 @@ __all__ = [
 #: it cannot enumerate its own pairs, so picking it would be a one-way
 #: door.
 DEFAULT_CANDIDATES: Tuple[str, ...] = ("ibs", "avl", "rb", "flat")
+
+#: Hysteresis: a backend migration happens only when the best candidate
+#: prices below ``current_cost * AUTO_MIGRATION_RATIO`` — a predicted
+#: win of at least 20 %, which absorbs micro-probe noise and prevents
+#: flapping.
+AUTO_MIGRATION_RATIO = 0.8
 
 
 class EvidenceObserver(MatchObserver):
@@ -219,11 +226,6 @@ class AutoSelector:
         Evidence floor: no decision before this many logical
         operations (stabs + inserts + deletes) have been observed for
         the attribute — mirroring ``EntryClauseFeedback.min_samples``.
-    migration_ratio:
-        Hysteresis: migrate only when the best candidate prices below
-        ``current_cost * migration_ratio``.  At the default 0.8 a
-        candidate must predict a ≥20 % win, which absorbs micro-probe
-        noise and prevents flapping.
     quarantine_passes:
         A (relation, attribute, backend) whose migration *failed* is
         barred from being chosen again for this many passes.
@@ -249,7 +251,6 @@ class AutoSelector:
         candidates: Iterable[str] = DEFAULT_CANDIDATES,
         cost_table: Any = None,
         min_evidence_ops: int = 512,
-        migration_ratio: float = 0.8,
         quarantine_passes: int = 3,
         probe_samples: int = 128,
         trial_candidates: int = 3,
@@ -285,7 +286,6 @@ class AutoSelector:
             )
         self.candidates = tuple(eligible)
         self.min_evidence_ops = int(min_evidence_ops)
-        self.migration_ratio = float(migration_ratio)
         self.quarantine_passes = int(quarantine_passes)
         self.probe_samples = int(probe_samples)
         self.trial_candidates = int(trial_candidates)
@@ -449,7 +449,7 @@ class AutoSelector:
         # hysteresis test can only pass when the live probe showed the
         # actual tree degenerated (adversarial insertion order) — and
         # a bulk_load onto the same backend restores its healthy shape.
-        migrate = best_cost < current_cost * self.migration_ratio
+        migrate = best_cost < current_cost * AUTO_MIGRATION_RATIO
         if migrate:
             action = "rebuild on" if best_backend == current else "migrate to"
             basis = "trial-probed" if best_backend in trialed else "predicts"
@@ -627,7 +627,7 @@ class AutoSelector:
             "candidates": list(self.candidates),
             "excluded_candidates": dict(self.excluded_candidates),
             "min_evidence_ops": self.min_evidence_ops,
-            "migration_ratio": self.migration_ratio,
+            "migration_ratio": AUTO_MIGRATION_RATIO,
             "passes": self.passes,
             "evidence": self.evidence.as_dict(),
             "decisions": {

@@ -63,6 +63,11 @@ __all__ = [
     "OPAQUE",
 ]
 
+#: :meth:`ClauseCatalog.retune` migrates an entry clause only when the
+#: best alternative's estimated selectivity is below ``observed *
+#: MIGRATION_RATIO`` — a decisive improvement, not a tie.
+MIGRATION_RATIO = 0.5
+
 
 class RelationState:
     """Second-level index state for one relation (Figure 1, lower half).
@@ -450,7 +455,6 @@ class ClauseCatalog:
         self,
         store: Any,
         feedback: Any,
-        migration_ratio: float,
         observer: MatchObserver,
         relation: Optional[str] = None,
     ) -> List[Hashable]:
@@ -461,7 +465,7 @@ class ClauseCatalog:
         **observed** selectivity of its current entry clause against
         the estimated selectivity of its best indexable clause on a
         *different* attribute; when the alternative's estimate is below
-        ``observed * migration_ratio`` the entry clause is migrated.
+        ``observed * MIGRATION_RATIO`` the entry clause is migrated.
         After a pass the relation's feedback window is reset so the
         next decision rests on fresh evidence.  No-op under
         multi-clause indexing.
@@ -492,7 +496,7 @@ class ClauseCatalog:
                 if alternative is None:
                     continue  # no different-attribute clause to move to
                 score, clause = alternative
-                if score < observed * migration_ratio:
+                if score < observed * MIGRATION_RATIO:
                     if self.migrate_entry_clause(
                         store, rel, state, ident, clause, observer
                     ):

@@ -79,9 +79,9 @@ class MatchPipeline:
         silently skipped whenever NumPy is missing, the relation's
         shape is not vectorizable, or the batch carries values outside
         the plane's numeric domain — the scalar stages below remain
-        the semantics of record.  Ignored under ``adaptive`` (the
-        feedback counters need the scalar path's per-candidate
-        bookkeeping) and under multi-clause indexing.
+        the semantics of record.  The owning index rejects it together
+        with ``adaptive`` (the feedback counters need the scalar path's
+        per-candidate bookkeeping) or multi-clause indexing.
     """
 
     __slots__ = ("catalog", "store", "observer", "feedback", "adaptive", "columnar")
@@ -131,7 +131,7 @@ class MatchPipeline:
         tuples = list(tuples)
         if not tuples:
             return []
-        if self.columnar and not self.adaptive and not self.catalog.multi_clause:
+        if self.columnar:
             state = self.catalog.relations.get(relation)
             if state is not None:
                 rows = self._columnar_match_batch(relation, state, tuples)

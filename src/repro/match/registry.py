@@ -243,15 +243,11 @@ _IBS_OPTIONS = (
     "stab_cache_size",
     "adaptive",
     "min_feedback_tuples",
-    "migration_ratio",
-    "auto_retune_interval",
     "columnar",
     "auto_backend",
-    "autoselect_interval",
     "auto_candidates",
     "auto_cost_table",
     "min_evidence_ops",
-    "auto_migration_ratio",
     "storage",
     "data_dir",
     "memory_budget",
@@ -268,7 +264,6 @@ _CONCURRENT_OPTIONS = (
     "min_chunk",
     "snapshot_cache_size",
     "columnar",
-    "pool",
     "auto_backend",
     "auto_candidates",
     "auto_cost_table",

@@ -1,7 +1,7 @@
 """Supervised multiprocess matching tier.
 
-The thread tier (:mod:`repro.concurrency`) parallelises matching only
-as far as the GIL allows; this package crosses the process boundary.
+The concurrency facade (:mod:`repro.concurrency`) matches inline on
+the calling thread; this package crosses the process boundary.
 Frozen shard bases are published once per generation into shared
 memory (:mod:`.shm`), per-core workers (:mod:`.worker`) attach them
 read-only and answer CRC-framed match requests (:mod:`.framing`), and

@@ -23,8 +23,10 @@ process tier.  One ``match_batch`` call:
 
 ``match_batch`` returns ``None`` (rather than raising) whenever the
 tier cannot help — pool closed or degraded, shared memory unavailable,
-batch too small, no worker obtainable — and the facade falls back to
-its thread/inline path.  Degradation is a result-preserving latency
+batch too small, a base that cannot be pickled (say a ``FunctionClause``
+over a closure), no worker obtainable — and the facade falls back to
+its inline path.  A chunk whose overlay or tuples cannot be pickled is
+answered in-process.  Degradation is a result-preserving latency
 change, never a behaviour change.
 """
 
@@ -58,6 +60,12 @@ _KEEP_GENERATIONS = 2
 #: Soft (non-fatal) retries per chunk — reject replies such as
 #: ``shm-missing`` / ``bad-frame`` where the worker is healthy.
 _SOFT_RETRY_LIMIT = 2
+
+#: What ``pickle.dumps`` raises for an object that cannot cross a
+#: process boundary: a local function or lambda is an ``AttributeError``
+#: on some Python versions, a ``PicklingError`` on others, and a lock or
+#: socket a ``TypeError``.  Every one makes the tier decline, never fail.
+_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
 
 
 class _Chunk:
@@ -188,7 +196,10 @@ class ProcessMatchPool:
             if entry is not None:
                 generations.move_to_end(token)
                 return entry[0], entry[1], token
-            data = pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                data = pickle.dumps(base, protocol=pickle.HIGHEST_PROTOCOL)
+            except _UNPICKLABLE as exc:
+                raise pickle.PicklingError(f"snapshot base: {exc}") from exc
             name, length = self.registry.publish(relation, token, data)
             generations[token] = (name, length, base)
             while len(generations) > self._keep:
@@ -274,6 +285,9 @@ class ProcessMatchPool:
             msg["hang"] = self.supervisor.deadline * 2 + 0.25
         try:
             data = encode_frame(msg)
+        except _UNPICKLABLE as exc:
+            raise pickle.PicklingError(f"match request: {exc}") from exc
+        try:
             if chunk.drill:
                 # drill: a byte torn in transit — flip one for real so
                 # the worker's CRC check (and our resend path) runs
@@ -305,7 +319,8 @@ class ProcessMatchPool:
         Returns the per-tuple predicate rows — identical, object for
         object, to ``snapshot.match_batch(tuples)`` — or ``None`` when
         the process tier declines (closed, degraded, unavailable, batch
-        too small, or no worker could be checked out).  It never raises
+        too small, base not picklable, or no worker could be checked
+        out).  It never raises
         for worker misbehaviour and never drops a chunk: any chunk the
         pool cannot get answered remotely is answered in-process.
         """
@@ -371,7 +386,15 @@ class ProcessMatchPool:
         results: List[Optional[List[List[Predicate]]]],
     ) -> None:
         """Dispatch *chunk* on *handle*, falling to the failure path."""
-        if self._dispatch(handle, chunk, snapshot, publication):
+        try:
+            sent = self._dispatch(handle, chunk, snapshot, publication)
+        except pickle.PicklingError:
+            # the overlay or the tuples cannot leave this process (say a
+            # FunctionClause over a closure): not the worker's fault
+            self.supervisor.release(handle)
+            results[chunk.index] = self._inline(snapshot, chunk.tuples)
+            return
+        if sent:
             inflight[chunk.index] = (handle, chunk)
         else:
             self._hard_fail(

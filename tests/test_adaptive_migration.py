@@ -15,6 +15,7 @@ import pytest
 from repro import PredicateIndex
 from repro.db.statistics import EntryClauseFeedback
 from repro.errors import InjectedFault
+from repro.maintenance import MaintenancePolicy
 from repro.predicates import PredicateBuilder
 from repro.testing import FaultInjector, injected
 
@@ -96,7 +97,9 @@ class TestMigration:
 
     def test_auto_retune_on_match_path(self):
         idx = PredicateIndex(
-            adaptive=True, min_feedback_tuples=8, auto_retune_interval=20
+            adaptive=True,
+            min_feedback_tuples=8,
+            maintenance=MaintenancePolicy(retune_interval=20),
         )
         ident = idx.add(two_clause_pred())
         for tup in adverse_tuples(25):
@@ -105,7 +108,9 @@ class TestMigration:
 
     def test_auto_retune_on_batch_path(self):
         idx = PredicateIndex(
-            adaptive=True, min_feedback_tuples=8, auto_retune_interval=20
+            adaptive=True,
+            min_feedback_tuples=8,
+            maintenance=MaintenancePolicy(retune_interval=20),
         )
         ident = idx.add(two_clause_pred())
         idx.match_batch("r", adverse_tuples(25))

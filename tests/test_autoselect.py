@@ -18,6 +18,7 @@ from repro.concurrency import ConcurrentPredicateIndex
 from repro.core import Interval
 from repro.db import Database
 from repro.errors import PredicateError
+from repro.maintenance import MaintenancePolicy
 from repro.match.autoselect import (
     DEFAULT_CANDIDATES,
     AttributeProfile,
@@ -295,7 +296,7 @@ class TestPredicateIndexMigration:
         ) == 0
 
     def test_periodic_autoselect_fires_on_interval(self):
-        index = auto_index(autoselect_interval=32)
+        index = auto_index(maintenance=MaintenancePolicy(autoselect_interval=32))
         for _ in range(3):
             index.match_batch("r", PROBES * 2)
         assert index.attribute_backends("r")["a"] == "avl"

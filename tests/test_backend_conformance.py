@@ -301,3 +301,25 @@ class TestRegistryIntrospection:
             replace=True,
         )
         assert DEFAULT_REGISTRY.tree_factory("ibs") is original
+
+    @pytest.mark.parametrize(
+        "options, cls_path",
+        [
+            ("_IBS_OPTIONS", "repro.core.predicate_index.PredicateIndex"),
+            ("_CONCURRENT_OPTIONS", "repro.concurrency.facade.ConcurrentPredicateIndex"),
+        ],
+    )
+    def test_builder_options_mirror_constructor(self, options, cls_path):
+        # a removed constructor option must not linger in the forward
+        # list, and a new one must not be silently dropped by it
+        import importlib
+        import inspect
+
+        from repro.match import registry
+
+        module, _, name = cls_path.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        params = list(inspect.signature(cls).parameters.values())
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        assert set(getattr(registry, options)) == {p.name for p in params}
+        assert len(getattr(registry, options)) == len(params)

@@ -24,6 +24,7 @@ from repro import (
     PredicateIndex,
 )
 from repro.concurrency import ConcurrentPredicateIndex
+from repro.errors import ConcurrencyError
 from repro.match import columnar as columnar_module
 from repro.match.columnar import HAVE_NUMPY
 from repro.match.registry import DEFAULT_REGISTRY
@@ -286,3 +287,20 @@ def test_columnar_capability_flags():
     }
     # other matchers advertise an empty capability dict, not an error
     assert DEFAULT_REGISTRY.describe_matcher("ibs")["capabilities"] == {}
+
+
+@pytest.mark.parametrize(
+    "option", [{"adaptive": True}, {"multi_clause": True}], ids=["adaptive", "multi-clause"]
+)
+def test_columnar_with_scalar_only_option_is_rejected(option):
+    """The plane cannot serve adaptive feedback or multi-clause entry
+    sets; asking for both must fail loudly, not silently run scalar."""
+    with pytest.raises(ValueError, match="columnar"):
+        PredicateIndex(tree_factory="flat", columnar=True, **option)
+    with pytest.raises(ValueError, match="columnar"):
+        DEFAULT_REGISTRY.create_matcher("columnar", **option)
+
+
+def test_concurrent_columnar_multi_clause_is_rejected():
+    with pytest.raises(ConcurrencyError, match="columnar"):
+        ConcurrentPredicateIndex(columnar=True, multi_clause=True)

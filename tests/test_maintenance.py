@@ -327,27 +327,11 @@ class TestUnifiedOpSemantics:
 
     def test_no_bespoke_counters_remain(self):
         # the pre-refactor per-feature counters are gone: one clock only
-        index = PredicateIndex(adaptive=True, auto_retune_interval=16)
+        index = PredicateIndex(
+            adaptive=True, maintenance=MaintenancePolicy(retune_interval=16)
+        )
         assert not hasattr(index, "_tuples_since_retune")
         assert not hasattr(index, "_tuples_since_autoselect")
-
-    def test_legacy_sugar_maps_to_policy_intervals(self):
-        index = PredicateIndex(
-            adaptive=True, min_feedback_tuples=8, auto_retune_interval=20
-        )
-        report = index.maintenance_report()
-        assert report["enabled"]
-        assert report["tasks"]["retune"]["interval_ops"] == 20
-        auto = PredicateIndex(auto_backend=True, autoselect_interval=48)
-        assert auto.maintenance_report()["tasks"]["autoselect"]["interval_ops"] == 48
-
-    def test_policy_wins_over_legacy_sugar(self):
-        index = PredicateIndex(
-            adaptive=True,
-            auto_retune_interval=20,
-            maintenance=MaintenancePolicy(retune_interval=64),
-        )
-        assert index.maintenance_report()["tasks"]["retune"]["interval_ops"] == 64
 
     def test_plain_index_has_no_scheduler(self):
         index = PredicateIndex()
@@ -788,6 +772,15 @@ class TestFacadeMaintenance:
             maintenance=MaintenancePolicy(compaction_threshold=7),
         )
         assert explicit._compaction_threshold == 99
+
+    def test_explicit_default_threshold_is_not_overridden(self):
+        # pinning the default value itself must still beat the policy
+        index = ConcurrentPredicateIndex(
+            compaction_threshold=64,
+            maintenance=MaintenancePolicy(compaction_threshold=8),
+        )
+        assert index._compaction_threshold == 64
+        assert index.shard("r")._compaction_threshold == 64
 
     def test_facade_without_policy_has_no_scheduler(self):
         index = ConcurrentPredicateIndex()

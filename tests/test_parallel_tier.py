@@ -353,9 +353,7 @@ class TestDegradation:
     def test_facade_degraded_results_identical(self):
         preds = [interval_pred(f"p{i}", i * 3, i * 3 + 25) for i in range(120)]
         tuples = [{"x": v % 380} for v in range(0, 720, 2)]
-        with ConcurrentPredicateIndex(
-            workers=2, pool="process", min_chunk=16
-        ) as idx:
+        with ConcurrentPredicateIndex(workers=2, min_chunk=16) as idx:
             idx.add_many(preds)
             healthy = idx.match_batch("r", tuples)
             idx.degrade_process_tier("test: simulate budget exhaustion")
@@ -371,35 +369,72 @@ class TestDegradation:
 
 
 class TestFacade:
-    def test_process_pool_results_match_thread_pool(self):
+    def test_process_tier_results_match_inline(self):
         preds = [interval_pred(f"p{i}", i * 2, i * 2 + 30) for i in range(150)]
         tuples = [{"x": v % 320} for v in range(0, 600, 2)]
-        with ConcurrentPredicateIndex(workers=2, min_chunk=16) as threaded:
-            threaded.add_many(preds)
-            thread_rows = threaded.match_batch("r", tuples)
-            reference = threaded.snapshot("r").canonical_rows(thread_rows)
-        with ConcurrentPredicateIndex(
-            workers=2, pool="process", min_chunk=16
-        ) as process:
+        inline = ConcurrentPredicateIndex(workers=0)
+        inline.add_many(preds)
+        reference = inline.snapshot("r").canonical_rows(
+            inline.match_batch("r", tuples)
+        )
+        with ConcurrentPredicateIndex(workers=2, min_chunk=16) as process:
             process.add_many(preds)
             assert process.match_batch("r", tuples) == reference
+            assert process.process_stats()["workers"] == 2
+
+    @pytest.mark.parametrize("where", ["base", "overlay"])
+    def test_unpicklable_predicate_falls_back_inline(self, where):
+        # a FunctionClause over a closure cannot cross a process
+        # boundary: the tier declines and the batch is answered inline
+        threshold = 5
+        preds = [interval_pred(f"p{i}", i * 2, i * 2 + 30) for i in range(150)]
+        local = Predicate(
+            "r",
+            [
+                IntervalClause("x", Interval.closed(0, 320)),
+                FunctionClause("x", lambda v: v % threshold == 0),
+            ],
+            ident="local",
+        )
+        tuples = [{"x": v % 320} for v in range(0, 600, 2)]
+
+        def build(idx):
+            idx.add_many(preds)
+            if where == "base":
+                idx.add(local)
+                idx.compact("r")
+            else:
+                idx.compact("r")
+                idx.add(local)
+            return idx
+
+        inline = build(ConcurrentPredicateIndex(workers=0))
+        reference = inline.snapshot("r").canonical_rows(
+            inline.match_batch("r", tuples)
+        )
+        assert any(local in row for row in reference)
+        with build(ConcurrentPredicateIndex(workers=1, min_chunk=16)) as process:
+            assert process.match_batch("r", tuples) == reference
+            assert process.process_stats()["workers"] == 1
 
     def test_workers_process_shorthand(self):
         idx = ConcurrentPredicateIndex(workers="process", min_chunk=16)
         try:
-            assert idx._pool_kind == "process"
-            assert idx._workers >= 1
+            assert idx._workers == (os.cpu_count() or 1)
         finally:
             idx.close()
 
     def test_unknown_pool_kind_rejected(self):
         from repro.errors import ConcurrencyError
 
-        with pytest.raises(ConcurrencyError, match="unknown pool kind"):
-            ConcurrentPredicateIndex(pool="fibers")
+        # a pool name other than "process" is refused, not silently
+        # coerced into a worker count
+        for kind in ("thread", "fibers"):
+            with pytest.raises(ConcurrencyError, match="unknown pool kind"):
+                ConcurrentPredicateIndex(workers=kind)
 
     def test_close_idempotent_and_stats(self):
-        idx = ConcurrentPredicateIndex(workers=1, pool="process", min_chunk=16)
+        idx = ConcurrentPredicateIndex(workers=1, min_chunk=16)
         assert idx.process_stats() is None  # lazy: no pool before first use
         idx.add(interval_pred("a", 0, 100))
         idx.match_batch("r", [{"x": 5}] * 40)
@@ -415,10 +450,12 @@ class TestFacade:
         caps = DEFAULT_REGISTRY.describe_matcher("ibs-concurrent")["capabilities"]
         assert caps.get("process_parallel") is True
         matcher = DEFAULT_REGISTRY.create_matcher(
-            "ibs-concurrent", workers=1, pool="process", min_chunk=16
+            "ibs-concurrent", workers=1, min_chunk=16
         )
         try:
-            assert matcher._pool_kind == "process"
+            matcher.add(interval_pred("a", 0, 100))
+            matcher.match_batch("r", [{"x": 5}] * 40)
+            assert matcher.process_stats()["workers"] == 1
         finally:
             matcher.close()
 

@@ -81,6 +81,8 @@ def _measure_concurrency(scenario):
 
 
 def _measure_autoselect(scenario):
+    """Re-run the backend sweep; its ``auto`` row is ``ibs`` plus one
+    ``rebalance()`` pass, under the label the committed rows carry."""
     from repro.bench.runner import run_autoselect
 
     return run_autoselect(

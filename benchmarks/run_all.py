@@ -96,9 +96,7 @@ SMOKE = {
                     {"predicates": 300, "distinct_values": 100,
                      "batch_size": 50, "rounds": 4, "repeats": 1},
                     print_concurrency),
-    "autoselect": (run_autoselect,
-                   {"scale": 0.25, "repeats": 1, "calibration_samples": 60,
-                    "calibration_sizes": (16, 128)},
+    "autoselect": (run_autoselect, {"scale": 0.25, "repeats": 1},
                    print_autoselect),
     "maint": (run_maintenance,
               {"predicates": 300, "distinct_values": 100, "batch_size": 50,

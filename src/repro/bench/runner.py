@@ -1417,14 +1417,13 @@ def print_concurrency(
 
 
 # ----------------------------------------------------------------------
-# AUTOSELECT — scenario-vs-backend sweep for the self-tuning loop
+# AUTOSELECT — scenario-vs-backend sweep for the rebalance pass
 # ----------------------------------------------------------------------
 
 
 #: Fixed rows of the sweep matrix.  ``interval-list`` is the Figure 9
-#: linear-scan baseline — it is *not* an auto-selection candidate (no
-#: enumeration, so migration away is a one-way door), but as a fixed
-#: row it anchors the "worst default" bar the auto row must clear.
+#: linear-scan baseline; it anchors the "worst default" bar the auto
+#: row must clear.
 AUTOSELECT_FIXED_BACKENDS: Tuple[str, ...] = (
     "ibs",
     "avl",
@@ -1460,45 +1459,38 @@ def run_autoselect(
     seed: int = 33,
     repeats: int = 9,
     scale: float = 1.0,
-    calibration_samples: int = 200,
-    calibration_sizes: Sequence[int] = (64, 512),
-    min_evidence_ops: int = 64,
     report_out: Optional[Dict[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
-    """The scenario-vs-backend throughput matrix for auto-selection.
+    """The scenario-vs-backend throughput matrix for the rebalance pass.
 
     Every scenario family (:mod:`repro.workloads.scenarios`) is run
-    against each fixed backend and against ``auto`` — a
-    ``PredicateIndex(auto_backend=True)`` that accumulates evidence
-    over a warm-up pass, runs one explicit :meth:`autoselect` pass, and
-    is then timed on whatever backends it migrated to.  Predicates are
-    added **one by one**, preserving each scenario's arrival order —
-    that is what degenerates the unbalanced tree in the adversarial
-    family, the exact trap the live micro-probe lets auto escape.
+    against each fixed backend and against ``auto`` — the default
+    ``PredicateIndex()`` on ``ibs`` trees, given one
+    :meth:`~repro.core.predicate_index.PredicateIndex.rebalance` pass
+    after its warm-up pass and then timed.  Predicates are added **one
+    by one**, preserving each scenario's arrival order — that is what
+    degenerates the unbalanced tree in the adversarial family, the
+    shape ``rebalance()`` detects and bulk-loads again.
 
     Before any timing, every configuration's ``match_idents`` answers
     are checked against the first backend's on a sample — and the auto
-    row is re-checked *after* its migration pass, so the sweep itself
-    proves migrations preserve match semantics.  Timings are best of
+    row is re-checked *after* its rebalance pass, so the sweep itself
+    proves rebuilds preserve match semantics.  Timings are best of
     *repeats* after warm-up (passes are milliseconds long, so the
     default is high enough for the best-of to converge under container
     timer jitter); ``ops_per_s`` counts logical operations (stabs plus
     churn adds/removes, including the undo).
 
     *scale* shrinks or grows every scenario (``--quick`` uses 0.25);
-    *report_out*, when given, receives the calibrated cost table and
-    the auto row's per-scenario picks and decisions (kept out of the
-    returned rows — picks are machine-dependent and would break
-    row-matching in ``compare_bench``).
+    *report_out*, when given, receives ``rebuilt``: the
+    ``(relation, attribute)`` pairs the auto row's rebalance pass
+    rebuilt, per scenario (kept out of the returned rows so they do not
+    take part in ``compare_bench`` row matching).
     """
     from ..workloads.scenarios import scenario_names, synthesize
-    from .cost_model import calibrate_backends
 
     names = list(scenarios) if scenarios is not None else scenario_names()
-    table = calibrate_backends(
-        seed=seed, samples=calibration_samples, sizes=tuple(calibration_sizes)
-    )
-    picks: Dict[str, Any] = {}
+    rebuilt: Dict[str, List[Tuple[str, str]]] = {}
     rows: List[Dict[str, Any]] = []
     for family in names:
         scenario = synthesize(family, seed=seed, scale=scale)
@@ -1512,11 +1504,7 @@ def run_autoselect(
         family_rows: List[Dict[str, Any]] = []
         for backend in AUTOSELECT_FIXED_BACKENDS + ("auto",):
             if backend == "auto":
-                index = PredicateIndex(
-                    auto_backend=True,
-                    auto_cost_table=table,
-                    min_evidence_ops=min_evidence_ops,
-                )
+                index = PredicateIndex()
             else:
                 index = PredicateIndex(tree_factory=backend)
             for predicate in predicate_list:
@@ -1538,22 +1526,17 @@ def run_autoselect(
                 for batch in batches:
                     idx.match_batch(relation, batch)
 
-            work()  # warm-up: caches, compiled residuals — and evidence
+            work()  # warm-up: caches, compiled residuals
             if backend == "auto":
-                decisions = index.autoselect()
+                rebuilt[family] = index.rebalance()
                 after = [
                     frozenset(index.match_idents(relation, tup))
                     for tup in sample
                 ]
                 if after != reference:
                     raise AssertionError(
-                        f"{family}: auto-selection migration changed "
-                        f"match results"
+                        f"{family}: the rebalance pass changed match results"
                     )
-                picks[family] = {
-                    "backends": index.attribute_backends(relation),
-                    "decisions": [decision.as_dict() for decision in decisions],
-                }
             elapsed = math.inf
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -1575,8 +1558,7 @@ def run_autoselect(
             row["rel_worst"] = row["ops_per_s"] / worst
         rows.extend(family_rows)
     if report_out is not None:
-        report_out["cost_table"] = table.as_dict()
-        report_out["picks"] = picks
+        report_out["rebuilt"] = rebuilt
     return rows
 
 
@@ -1585,7 +1567,7 @@ def print_autoselect(
 ) -> List[Dict[str, Any]]:
     rows = rows if rows is not None else run_autoselect()
     print_experiment(
-        "AUTOSELECT: scenario-vs-backend sweep, fixed backends vs auto",
+        "AUTOSELECT: scenario-vs-backend sweep, fixed backends vs auto (ibs + rebalance)",
         ["scenario", "backend", "ms_per_pass", "ops_per_s", "rel_best",
          "rel_worst"],
         [
@@ -1594,8 +1576,8 @@ def print_autoselect(
             for row in rows
         ],
         note="rel_best/rel_worst are vs the best/worst FIXED backend of "
-             "each scenario; the auto row observes, migrates once, then "
-             "is timed on its chosen backends",
+             "each scenario; the auto row is ibs plus one rebalance() "
+             "pass after warm-up",
     )
     return rows
 

@@ -77,11 +77,6 @@ __all__ = ["EpochSnapshot", "RelationShard"]
 #: folding the overlay into a fresh compacted base.
 DEFAULT_COMPACTION_THRESHOLD = 64
 
-#: Overlay size at or below which :meth:`EpochSnapshot.match_batch`
-#: tests the overlay predicates directly per tuple rather than running
-#: the overlay index's full batched pipeline.
-OVERLAY_SCAN_LIMIT = 8
-
 #: Publication hook signature: ``(relation, epoch, kind, payload)``
 #: where *kind* is one of ``"add"`` / ``"remove"`` / ``"compact"`` /
 #: ``"rebuild"``.
@@ -209,14 +204,15 @@ class EpochSnapshot:
         """Match several tuples against this one epoch.
 
         Uses the underlying batched fast path on the base.  An overlay
-        of at most :data:`OVERLAY_SCAN_LIMIT` predicates is evaluated by
-        a direct per-tuple scan instead — running the full batched
-        pipeline (stab tables plus per-tuple assembly) over a second
-        index costs more than testing a handful of predicates outright.
+        of at most :data:`~repro.match.pipeline.OVERLAY_SCAN_LIMIT`
+        predicates is evaluated by a direct per-tuple scan instead —
+        running the full batched pipeline (stab tables plus per-tuple
+        assembly) over a second index costs more than testing a handful
+        of predicates outright.
         Results are per-tuple lists in the same deterministic order as
         :meth:`match`.
         """
-        return snapshot_match_batch(self, tuples, OVERLAY_SCAN_LIMIT)
+        return snapshot_match_batch(self, tuples)
 
     def __repr__(self) -> str:
         return (

@@ -55,8 +55,8 @@ from typing import (
 from ..errors import PredicateError
 from ..maintenance import MaintenancePolicy, MaintenanceScheduler
 from ..match import health as _health
-from ..match.catalog import ClauseCatalog, RelationState
-from ..match.observer import CompositeObserver, MatchStatistics, StatsObserver
+from ..match.catalog import ClauseCatalog, RelationState, rebuild_attribute_tree
+from ..match.observer import MatchStatistics, StatsObserver
 from ..match.pipeline import MatchPipeline
 from ..match.store import TreeStore
 from ..predicates.predicate import Predicate
@@ -123,35 +123,14 @@ class PredicateIndex:
         is not installed or the batch leaves the plane's numeric
         domain; the scalar pipeline remains the semantics of record.
         Cannot be combined with ``adaptive`` or ``multi_clause``.
-    auto_backend:
-        Enable online per-attribute backend auto-selection (see
-        :mod:`repro.match.autoselect`): the pipeline reports
-        per-attribute stab counts, the write paths report interval
-        inserts/deletes, and :meth:`autoselect` prices every candidate
-        backend against the observed workload and transactionally
-        migrates an attribute's tree to the predicted cheapest — the
-        same evidence-floor / hysteresis / quarantine discipline
-        :meth:`retune` applies to entry clauses, one level down the
-        storage stack.  Also reachable as
-        ``Database(matcher="auto")`` through the registry.
-    auto_candidates:
-        Candidate backend names for auto-selection; defaults to the
-        four IBS-tree variants.
-    auto_cost_table:
-        A pre-calibrated
-        :class:`~repro.bench.cost_model.BackendCostTable`; measured
-        lazily on the first pass when omitted.
-    min_evidence_ops:
-        Evidence floor for auto-selection: no migration before this
-        many logical operations were observed for an attribute.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
-        periodic mechanism (retune, autoselect, disk-tier eviction)
+        periodic mechanism (retune, rebalance, disk-tier eviction)
         through one deterministic
         :class:`~repro.maintenance.MaintenanceScheduler`: the policy's
         ``retune_interval`` (with ``adaptive``) and
-        ``autoselect_interval`` (with ``auto_backend``) are the only
-        way to run those passes periodically.  The scheduler's clock
+        ``rebalance_interval`` are the only way to run those passes
+        periodically.  The scheduler's clock
         advances once per matched tuple and once per predicate write,
         and never while the index is frozen.  See
         :meth:`maintenance_report`.
@@ -169,25 +148,17 @@ class PredicateIndex:
         adaptive: bool = False,
         min_feedback_tuples: int = 256,
         columnar: bool = False,
-        auto_backend: bool = False,
-        auto_candidates: Optional[Iterable[str]] = None,
-        auto_cost_table: Any = None,
-        min_evidence_ops: int = 512,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         memory_budget: Optional[int] = None,
         maintenance: Optional[MaintenancePolicy] = None,
     ):
-        backend_name: Optional[str] = None
         if isinstance(tree_factory, str):
             # Imported here, not at module top: the registry's builders
             # import this module lazily and vice versa.
             from ..match.registry import DEFAULT_REGISTRY
 
-            backend_name = tree_factory
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
-        elif tree_factory is IBSTree:
-            backend_name = "ibs"
         self._tree_factory = tree_factory
         if columnar and (adaptive or multi_clause):
             raise ValueError(
@@ -227,26 +198,10 @@ class PredicateIndex:
                 raise ValueError("memory_budget requires storage='disk'")
             self._store = TreeStore(tree_factory, stab_cache_size)
         self._observer = StatsObserver(MatchStatistics())
-        self._selector: Any = None
-        pipeline_observer: Any = self._observer
-        if auto_backend:
-            from ..match.autoselect import DEFAULT_CANDIDATES, AutoSelector
-
-            self._selector = AutoSelector(
-                candidates=tuple(auto_candidates)
-                if auto_candidates is not None
-                else DEFAULT_CANDIDATES,
-                cost_table=auto_cost_table,
-                min_evidence_ops=min_evidence_ops,
-                default_backend=backend_name,
-            )
-            pipeline_observer = CompositeObserver(
-                [self._observer, self._selector.observer]
-            )
         self._pipeline = MatchPipeline(
             self._catalog,
             self._store,
-            pipeline_observer,
+            self._observer,
             feedback=self.feedback,
             adaptive=self._adaptive,
             columnar=bool(columnar),
@@ -275,11 +230,11 @@ class PredicateIndex:
                 priority=10,
                 cost_class="cheap",
             )
-        if self._selector is not None and policy.autoselect_interval is not None:
+        if policy.rebalance_interval is not None:
             scheduler.register_callback(
-                "autoselect",
-                lambda budget, relation: self.autoselect(relation),
-                interval_ops=policy.autoselect_interval,
+                "rebalance",
+                lambda budget, relation: self.rebalance(relation),
+                interval_ops=policy.rebalance_interval,
                 priority=5,
                 cost_class="bulk",
             )
@@ -311,7 +266,7 @@ class PredicateIndex:
         return self._maintenance
 
     def maintenance_report(self) -> Dict[str, Any]:
-        """Introspect the maintenance plane (mirrors :meth:`tuning_report`).
+        """Introspect the maintenance plane.
 
         Returns the clock position, the per-task table (intervals,
         runs, failures, backoff marks, quarantine flags), the active
@@ -510,8 +465,6 @@ class PredicateIndex:
         """
         self._check_mutable()
         ident = self._catalog.register(self._store, predicate)
-        if self._selector is not None:
-            self._observe_write(ident, insert=True)
         if self._maintenance is not None:
             self._tick(self._catalog.relation_of.get(ident), 1)
         return ident
@@ -533,9 +486,6 @@ class PredicateIndex:
         """
         self._check_mutable()
         idents = self._catalog.register_many(self._store, predicates)
-        if self._selector is not None:
-            for ident in idents:
-                self._observe_write(ident, insert=True)
         if self._maintenance is not None and idents:
             self._tick(None, len(idents))
         return idents
@@ -543,26 +493,11 @@ class PredicateIndex:
     def remove(self, ident: Hashable) -> Predicate:
         """Un-index and return the predicate registered under *ident*."""
         self._check_mutable()
-        if self._selector is not None:
-            # capture the entry attributes before they are unregistered
-            self._observe_write(ident, insert=False)
         relation = self._catalog.relation_of.get(ident)
         predicate = self._catalog.unregister(self._store, ident)
         if self._maintenance is not None:
             self._tick(relation, 1)
         return predicate
-
-    def _observe_write(self, ident: Hashable, insert: bool) -> None:
-        """Feed one registration/removal into the selector's evidence."""
-        relation = self._catalog.relation_of.get(ident)
-        if relation is None:
-            return
-        evidence = self._selector.evidence
-        for attribute in self._catalog.indexed_attributes(ident):
-            if insert:
-                evidence.observe_insert(relation, attribute)
-            else:
-                evidence.observe_delete(relation, attribute)
 
     # -- matching ----------------------------------------------------------
 
@@ -631,92 +566,41 @@ class PredicateIndex:
             relation,
         )
 
-    # -- backend auto-selection --------------------------------------------
+    # -- tree rebalancing --------------------------------------------------
 
-    def autoselect(self, relation: Optional[str] = None) -> List[Any]:
-        """One cost-driven backend-selection pass; returns the decisions.
+    def rebalance(self, relation: Optional[str] = None) -> List[Tuple[str, str]]:
+        """Bulk-load degenerate attribute trees again; returns what it rebuilt.
 
-        For every attribute tree of *relation* (or of every relation)
-        whose evidence window cleared the floor, price each candidate
-        backend against the observed stab/insert/delete mix and —
-        when the best one beats the current backend by the hysteresis
-        margin — transactionally rebuild the attribute's tree on it
-        (``bulk_load``, epoch bump, stab-cache clear, version bump).
-        Failed migrations are quarantined and the pass continues.  See
-        :class:`~repro.match.autoselect.AutoSelector` for the
-        discipline's knobs; decisions are
-        :class:`~repro.match.autoselect.BackendDecision` records.
+        The paper's IBS-tree is unbalanced (Section 4.2): sorted
+        insertion degrades it towards a list, and stabs then descend
+        O(N) nodes instead of O(log N).  A tree of *relation* (or of
+        every relation) counts as degenerate when its ``height``
+        exceeds ``4 * node_count.bit_length()``; each such tree is
+        rebuilt with ``bulk_load`` on the store's backend — balanced
+        by construction — inside the transaction of
+        :func:`~repro.match.catalog.rebuild_attribute_tree`.  Trees
+        that do not report ``height`` and ``node_count`` are skipped.
+        Returns the ``(relation, attribute)`` pairs rebuilt.
         """
         self._check_mutable()
-        if self._selector is None:
-            raise PredicateError(
-                "backend auto-selection is disabled; construct the index "
-                "with auto_backend=True (or Database(matcher='auto'))"
-            )
-        return self._selector.run_pass(
-            self._catalog, self._store, self._pipeline.observer, relation
-        )
-
-    def tuning_report(self) -> Dict[str, Any]:
-        """Introspect the auto-selection loop's state.
-
-        Returns the selector's evidence windows, the latest
-        per-attribute decisions (including kept ones), the committed
-        migration history, active quarantines, and the current
-        per-attribute backend map.
-        """
-        if self._selector is None:
-            raise PredicateError(
-                "backend auto-selection is disabled; construct the index "
-                "with auto_backend=True (or Database(matcher='auto'))"
-            )
-        report = self._selector.report()
-        report["attribute_backends"] = {
-            relation: self.attribute_backends(relation)
-            for relation in self._catalog.relations
-        }
-        return report
-
-    def attribute_backends(self, relation: str) -> Dict[str, Optional[str]]:
-        """``attribute -> backend name`` for *relation*'s live trees.
-
-        Attributes still on the store-wide default report the default
-        backend's registry name, or ``None`` when the index was built
-        with an anonymous factory.
-        """
-        state = self._catalog.relations.get(relation)
-        if state is None:
-            return {}
-        default = None
-        if self._selector is not None:
-            default = self._selector.default_backend
-        elif self._tree_factory is IBSTree:
-            default = "ibs"
-        result: Dict[str, Optional[str]] = {}
-        for attribute in state.trees:
-            override = state.tree_backends.get(attribute)
-            result[attribute] = override[0] if override else default
-        return result
-
-    def set_backend_plan(
-        self, plan: Mapping[str, Mapping[str, Tuple[str, Callable[[], Any]]]]
-    ) -> None:
-        """Seed the catalog's durable per-attribute backend plan.
-
-        Used by the concurrent facade when it builds a fresh frozen
-        base: the plan makes every future tree construction (including
-        this index's first ``add_many``) come up on the auto-selected
-        backends.  Existing live trees are not rebuilt — call
-        :meth:`autoselect` or rebuild for that.
-        """
-        self._catalog.backend_plan = {
-            relation: dict(per_attribute)
-            for relation, per_attribute in plan.items()
-        }
-        for relation, per_attribute in self._catalog.backend_plan.items():
-            state = self._catalog.relations.get(relation)
-            if state is not None:
-                state.tree_backends.update(per_attribute)
+        relations = self._catalog.relations
+        targets = [relation] if relation is not None else list(relations)
+        rebuilt: List[Tuple[str, str]] = []
+        for rel in targets:
+            state = relations.get(rel)
+            if state is None:
+                continue
+            for attribute, tree in list(state.trees.items()):
+                height = getattr(tree, "height", None)
+                nodes = getattr(tree, "node_count", None)
+                if height is None or nodes is None:
+                    continue
+                if height > 4 * nodes.bit_length():
+                    rebuild_attribute_tree(
+                        self._store, state, attribute, self._observer
+                    )
+                    rebuilt.append((rel, attribute))
+        return rebuilt
 
     # -- introspection ---------------------------------------------------------
 

@@ -31,13 +31,13 @@ facade composing these layers; its public API is unchanged.
 # below only import core *submodules* (never the half-built
 # ``repro.core`` attributes).  The registry comes last — its builders
 # import PredicateIndex lazily.
-from .observer import (
-    CompositeObserver,
-    MatchObserver,
-    MatchStatistics,
-    StatsObserver,
+from .observer import MatchObserver, MatchStatistics, StatsObserver
+from .catalog import (
+    ClauseCatalog,
+    RelationState,
+    compile_residual,
+    rebuild_attribute_tree,
 )
-from .catalog import ClauseCatalog, RelationState, compile_residual
 from .store import TreeFactory, TreeStore
 from .pipeline import (
     MatchPipeline,
@@ -47,13 +47,6 @@ from .pipeline import (
 )
 from . import health
 from .columnar import HAVE_NUMPY, build_relation_plane
-from .autoselect import (
-    AttributeProfile,
-    AutoSelector,
-    BackendDecision,
-    EvidenceObserver,
-    migrate_attribute_tree,
-)
 from .registry import (
     BackendRegistry,
     DEFAULT_REGISTRY,
@@ -65,10 +58,10 @@ __all__ = [
     "MatchStatistics",
     "MatchObserver",
     "StatsObserver",
-    "CompositeObserver",
     "ClauseCatalog",
     "RelationState",
     "compile_residual",
+    "rebuild_attribute_tree",
     "TreeStore",
     "TreeFactory",
     "MatchPipeline",
@@ -78,11 +71,6 @@ __all__ = [
     "health",
     "HAVE_NUMPY",
     "build_relation_plane",
-    "AttributeProfile",
-    "AutoSelector",
-    "BackendDecision",
-    "EvidenceObserver",
-    "migrate_attribute_tree",
     "BackendRegistry",
     "DEFAULT_REGISTRY",
     "register_backend",

@@ -48,11 +48,13 @@ from ..core.selectivity import (
 from ..errors import PredicateError, UnknownIntervalError
 from ..predicates.clauses import FunctionClause, IntervalClause
 from ..predicates.predicate import Predicate
+from ..testing.faults import fault_point
 from .observer import MatchObserver
 
 __all__ = [
     "RelationState",
     "ClauseCatalog",
+    "rebuild_attribute_tree",
     "compile_residual",
     "residual_holds",
     "vector_residual_spec",
@@ -91,7 +93,6 @@ class RelationState:
         "epoch_floor",
         "version",
         "columnar_plane",
-        "tree_backends",
     )
 
     def __init__(self, name: str = "?") -> None:
@@ -146,14 +147,6 @@ class RelationState:
         #: snapshot and shared by lock-free readers (single attribute
         #: assignment; concurrent builders compute equal planes).
         self.columnar_plane: Optional[Tuple[int, Any]] = None
-        #: attribute -> ``(backend name, tree factory)`` override,
-        #: written by the auto-selector (:mod:`repro.match.autoselect`)
-        #: when it migrates an attribute's tree off the store-wide
-        #: default.  Consulted by :meth:`TreeStore.new_tree` /
-        #: ``build_tree`` so the pick survives rebuilds and rollbacks;
-        #: seeded from the catalog's ``backend_plan`` when the state
-        #: record is (re-)created.
-        self.tree_backends: Dict[str, Tuple[str, Any]] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
         # Compiled residuals hold local closures, which cannot be
@@ -200,12 +193,6 @@ class ClauseCatalog:
         self.relations: Dict[str, RelationState] = {}
         #: ident -> relation routing map
         self.relation_of: Dict[Hashable, str] = {}
-        #: relation -> attribute -> ``(backend name, factory)``: the
-        #: auto-selector's durable per-attribute picks.  A relation's
-        #: state record can be dropped (last predicate removed) and
-        #: recreated later; the plan outlives it and re-seeds
-        #: ``RelationState.tree_backends`` on recreation.
-        self.backend_plan: Dict[str, Dict[str, Tuple[str, Any]]] = {}
 
     # -- normalization and entry-clause selection ----------------------
 
@@ -234,13 +221,10 @@ class ClauseCatalog:
     # -- registration ---------------------------------------------------
 
     def _state_for(self, relation: str) -> RelationState:
-        """The relation's state record, created (and plan-seeded) on demand."""
+        """The relation's state record, created on demand."""
         state = self.relations.get(relation)
         if state is None:
             state = self.relations[relation] = RelationState(relation)
-            plan = self.backend_plan.get(relation)
-            if plan:
-                state.tree_backends = dict(plan)
         return state
 
     def register(self, store: Any, predicate: Predicate) -> Hashable:
@@ -631,6 +615,52 @@ class ClauseCatalog:
         if relation is None:
             raise UnknownIntervalError(ident)
         return self.relations[relation].indexed_under.get(ident, ())
+
+
+def rebuild_attribute_tree(
+    store: Any, state: RelationState, attribute: str, observer: MatchObserver
+) -> Any:
+    """Bulk-load *attribute*'s tree again on the store's backend.
+
+    The replacement is built by :meth:`TreeStore.build_tree` from the
+    PREDICATES table's entry clauses on *attribute* (a normalized
+    predicate has at most one clause per attribute) and size-checked
+    **before** any shared state
+    changes, so a failure at any point before the commit leaves the old
+    tree untouched and live.  The commit keeps every derived structure
+    coherent: the replacement's epoch starts past the old tree's and
+    ``retire_tree`` raises the relation floor, so ``(attribute,
+    tree_epoch)`` stab-cache keys never alias across the swap; the stab
+    cache is cleared and ``state.version`` bumps, which invalidates the
+    columnar plane by version mismatch.
+    """
+    old_tree = state.trees[attribute]
+    pairs: List[Tuple[Any, Hashable]] = [
+        (clause.interval, ident)
+        for ident, attributes in state.indexed_under.items()
+        if attribute in attributes
+        for clause in state.predicates[ident].indexable_clauses()
+        if clause.attribute == attribute
+    ]
+    replacement = store.build_tree(state, pairs, attribute)
+    if hasattr(replacement, "epoch"):
+        replacement.epoch = max(replacement.epoch, getattr(old_tree, "epoch", 0) + 1)
+    if len(replacement) != len(pairs):
+        raise PredicateError(
+            f"rebuild of {state.name}.{attribute} dropped entries: "
+            f"{len(replacement)} != {len(pairs)}"
+        )
+    # a maintenance tick interrupting the rebuild right here (the
+    # ``maint.tick_during_migration`` drill) aborts before the commit:
+    # the replacement is garbage-collected and the old tree stays live
+    fault_point("maint.tick_during_migration")
+    # ---- commit point: nothing above mutated shared state ----
+    state.trees[attribute] = replacement
+    store.retire_tree(state, old_tree)
+    state.stab_cache.clear()
+    state.version += 1
+    observer.on_tree_rebuild(state.name, attribute)
+    return replacement
 
 
 # ----------------------------------------------------------------------

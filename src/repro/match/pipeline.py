@@ -47,7 +47,13 @@ __all__ = [
     "snapshot_match",
     "snapshot_match_idents",
     "snapshot_match_batch",
+    "OVERLAY_SCAN_LIMIT",
 ]
+
+#: Overlay size at or below which :func:`snapshot_match_batch` tests the
+#: overlay predicates directly per tuple rather than running the
+#: overlay index's full batched pipeline.
+OVERLAY_SCAN_LIMIT = 8
 
 
 class MatchPipeline:
@@ -330,20 +336,7 @@ class MatchPipeline:
             state.columnar_plane = (state.version, plane)
         if plane is None:
             return None
-        rows = plane.match_batch(tuples, self.observer, relation)
-        if rows is not None and self.observer.wants_attribute_stabs:
-            # same logical accounting as the scalar paths: one probe
-            # per non-NULL value of an indexed attribute
-            attr_counts: Dict[str, int] = {}
-            for attribute in state.trees:
-                count = sum(
-                    1 for tup in tuples if tup.get(attribute) is not None
-                )
-                if count:
-                    attr_counts[attribute] = count
-            if attr_counts:
-                self.observer.on_attribute_stabs(relation, attr_counts)
-        return rows
+        return plane.match_batch(tuples, self.observer, relation)
 
     def _stab_tables(
         self, relation: str, state: RelationState, tuples: List[Mapping[str, Any]]
@@ -379,9 +372,6 @@ class MatchPipeline:
         trees = state.trees
         stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]] = {}
         unbatchable: Dict[int, List[Tuple[str, Optional[Set[Hashable]]]]] = {}
-        attr_counts: Optional[Dict[str, int]] = (
-            {} if self.observer.wants_attribute_stabs else None
-        )
         attributes = list(trees)
         by_attribute: Dict[str, Set[Any]] = {a: set() for a in attributes}
         probes = descents = cache_hits = 0
@@ -405,9 +395,6 @@ class MatchPipeline:
                             batchable = False
                 staged.append((attribute, value))
             probes += len(staged)
-            if attr_counts is not None:
-                for attribute, _ in staged:
-                    attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
             if batchable:
                 for attribute, value in staged:
                     by_attribute[attribute].add(value)
@@ -483,8 +470,6 @@ class MatchPipeline:
                             cache[(attribute, epoch, value)] = frozenset(stabbed)
             stab_tables[attribute] = table
         self.observer.on_stab(relation, probes, descents, cache_hits)
-        if attr_counts:
-            self.observer.on_attribute_stabs(relation, attr_counts)
         return stab_tables, unbatchable
 
 
@@ -536,7 +521,7 @@ def snapshot_match(snapshot: Any, tup: Mapping[str, Any]) -> List[Predicate]:
     """All live predicates matching *tup*: the :func:`snapshot_match_batch`
     merge on one tuple, with the indexes' per-tuple ``match`` (per-tuple
     route accounting, no columnar plane)."""
-    return _snapshot_rows(snapshot, [tup], 8, False)[0]
+    return _snapshot_rows(snapshot, [tup], False)[0]
 
 
 def snapshot_match_idents(snapshot: Any, tup: Mapping[str, Any]) -> Set[Hashable]:
@@ -545,26 +530,23 @@ def snapshot_match_idents(snapshot: Any, tup: Mapping[str, Any]) -> Set[Hashable
 
 
 def snapshot_match_batch(
-    snapshot: Any,
-    tuples: Iterable[Mapping[str, Any]],
-    overlay_scan_limit: int = 8,
+    snapshot: Any, tuples: Iterable[Mapping[str, Any]]
 ) -> List[List[Predicate]]:
     """Match several tuples against one epoch.
 
     Base matches come first (in the base index's order), overlay
     matches after (in insertion order).  An overlay of at most
-    *overlay_scan_limit* predicates is evaluated by a direct per-tuple
-    scan — running the full pipeline (stab tables plus per-tuple
-    assembly) over a second index costs more than testing a handful of
-    predicates outright.
+    :data:`OVERLAY_SCAN_LIMIT` predicates is evaluated by a direct
+    per-tuple scan — running the full pipeline (stab tables plus
+    per-tuple assembly) over a second index costs more than testing a
+    handful of predicates outright.
     """
-    return _snapshot_rows(snapshot, list(tuples), overlay_scan_limit, True)
+    return _snapshot_rows(snapshot, list(tuples), True)
 
 
 def _snapshot_rows(
     snapshot: Any,
     tuple_list: List[Mapping[str, Any]],
-    overlay_scan_limit: int,
     batched: bool,
 ) -> List[List[Predicate]]:
     """The snapshot merge; *batched* picks each index's ``match_batch``
@@ -589,7 +571,7 @@ def _snapshot_rows(
     else:
         rows = [list(row) for row in base_rows]
     if snapshot.overlay is not None and snapshot.overlay_preds:
-        if len(snapshot.overlay_preds) <= overlay_scan_limit:
+        if len(snapshot.overlay_preds) <= OVERLAY_SCAN_LIMIT:
             overlay_preds = snapshot.overlay_preds
             for tup, row in zip(tuple_list, rows):
                 for pred in overlay_preds:

@@ -233,7 +233,9 @@ class BackendRegistry:
 # Callers pass one uniform option set (``estimator``, ``workers``, …);
 # each builder keeps only the options its backend understands, so e.g.
 # the rule engine can hand its estimator to every strategy and the
-# baselines simply don't use it.
+# baselines simply don't use it.  A name no built-in builder knows is
+# an error, never silently dropped: a misspelt or removed option would
+# otherwise change what the caller gets without saying so.
 
 #: Options the PredicateIndex-based builders forward.
 _IBS_OPTIONS = (
@@ -244,10 +246,6 @@ _IBS_OPTIONS = (
     "adaptive",
     "min_feedback_tuples",
     "columnar",
-    "auto_backend",
-    "auto_candidates",
-    "auto_cost_table",
-    "min_evidence_ops",
     "storage",
     "data_dir",
     "memory_budget",
@@ -264,10 +262,6 @@ _CONCURRENT_OPTIONS = (
     "min_chunk",
     "snapshot_cache_size",
     "columnar",
-    "auto_backend",
-    "auto_candidates",
-    "auto_cost_table",
-    "min_evidence_ops",
     "storage",
     "data_dir",
     "memory_budget",
@@ -275,7 +269,18 @@ _CONCURRENT_OPTIONS = (
 )
 
 
+#: Every option some built-in builder understands.
+_KNOWN_OPTIONS = frozenset(_IBS_OPTIONS + _CONCURRENT_OPTIONS + ("indexed_attributes",))
+
+
 def _accept(options: Dict[str, Any], names: tuple) -> Dict[str, Any]:
+    """The subset of *options* in *names*; raises on any unknown option."""
+    unknown = sorted(set(options) - _KNOWN_OPTIONS)
+    if unknown:
+        raise RegistryError(
+            f"unknown matcher option(s): {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(_KNOWN_OPTIONS))}"
+        )
     return {name: options[name] for name in names if name in options}
 
 
@@ -315,14 +320,6 @@ def _build_columnar(**options: Any) -> Any:
     kwargs = _accept(options, _IBS_OPTIONS)
     kwargs.setdefault("tree_factory", FlatIBSTree)
     kwargs.setdefault("columnar", True)
-    return PredicateIndex(**kwargs)
-
-
-def _build_auto(**options: Any) -> Any:
-    from ..core.predicate_index import PredicateIndex
-
-    kwargs = _accept(options, _IBS_OPTIONS)
-    kwargs.setdefault("auto_backend", True)
     return PredicateIndex(**kwargs)
 
 
@@ -378,12 +375,14 @@ def _build_ibs_concurrent(**options: Any) -> Any:
 def _build_sequential(**options: Any) -> Any:
     from ..baselines.sequential import SequentialMatcher
 
+    _accept(options, ())
     return SequentialMatcher()
 
 
 def _build_hash(**options: Any) -> Any:
     from ..baselines.hash_sequential import HashSequentialMatcher
 
+    _accept(options, ())
     return HashSequentialMatcher()
 
 
@@ -393,14 +392,14 @@ def _build_locking(**options: Any) -> Any:
     # ``estimator`` is deliberately not forwarded: the simulated
     # optimizer's lock choices use the scheme's own default constants,
     # matching the paper's description of existing systems.
-    return PhysicalLockingMatcher(
-        indexed_attributes=options.get("indexed_attributes")
-    )
+    kwargs = _accept(options, ("indexed_attributes",))
+    return PhysicalLockingMatcher(indexed_attributes=kwargs.get("indexed_attributes"))
 
 
 def _build_rtree(**options: Any) -> Any:
     from ..baselines.rtree import RTreeMatcher
 
+    _accept(options, ())
     return RTreeMatcher()
 
 
@@ -462,13 +461,6 @@ DEFAULT_REGISTRY.register_matcher(
     _build_columnar,
     "predicate index with a vectorized columnar batch plane over flat trees",
     capabilities={"requires_numpy": True, "vectorized_batch": True},
-)
-DEFAULT_REGISTRY.register_matcher(
-    "auto",
-    _build_auto,
-    "self-tuning predicate index: per-attribute backend auto-selection "
-    "driven by observed workload evidence and a calibrated cost model",
-    capabilities={"auto_backend": True, "self_tuning": True},
 )
 DEFAULT_REGISTRY.register_matcher(
     "ibs-concurrent",

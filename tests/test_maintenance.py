@@ -9,10 +9,10 @@ Four layers of assurance, mirroring the disk tier's test discipline:
 * **unified op-count semantics** (satellite 1) — exactly one clock per
   index, one tick per matched tuple and per predicate write, batch ops
   tick ``len(batch)``, and a frozen index never ticks;
-* **differential guarantee** — a maintained index (retune, autoselect,
+* **differential guarantee** — a maintained index (retune, rebalance,
   compaction, checkpointing, eviction all firing mid-stream) must
   answer every match exactly like a never-ticked twin, across the
-  scalar, columnar, auto-selecting, concurrent, and disk
+  scalar, columnar, rebalancing, concurrent, and disk
   configurations, over every seeded scenario family — and stay
   equivalent when each ``maint.*`` fault site fires;
 * **crash drills** — ``maint.task_raises`` is contained as a
@@ -38,7 +38,7 @@ from repro.core.intervals import Interval
 from repro.core.predicate_index import PredicateIndex
 from repro.db import Database
 from repro.disk.checkpoint import DiskCheckpointer, recover_concurrent
-from repro.errors import InjectedFault, PredicateError
+from repro.errors import InjectedFault
 from repro.maintenance import (
     CallbackTask,
     MaintenanceBudget,
@@ -339,14 +339,12 @@ class TestUnifiedOpSemantics:
         report = index.maintenance_report()
         assert report == {"enabled": False, "clock_ops": 0, "tasks": {}, "failures": []}
 
-    def test_retune_and_autoselect_share_one_clock(self):
+    def test_retune_and_rebalance_share_one_clock(self):
         rng = random.Random(2)
         index = PredicateIndex(
             adaptive=True,
             min_feedback_tuples=8,
-            auto_backend=True,
-            min_evidence_ops=8,
-            maintenance=MaintenancePolicy(retune_interval=10, autoselect_interval=20),
+            maintenance=MaintenancePolicy(retune_interval=10, rebalance_interval=20),
         )
         for i in range(5):
             index.add(make_pred(rng, "emp", i))
@@ -355,7 +353,7 @@ class TestUnifiedOpSemantics:
         report = index.maintenance_report()
         assert report["clock_ops"] == 25
         assert report["tasks"]["retune"]["runs"] >= 2
-        assert report["tasks"]["autoselect"]["runs"] >= 1
+        assert report["tasks"]["rebalance"]["runs"] >= 1
 
     def test_scalar_stats_count_maintenance_runs(self):
         rng = random.Random(3)
@@ -370,59 +368,6 @@ class TestUnifiedOpSemantics:
             index.match("emp", {"x": 0.0})
         assert index.stats.maintenance_runs >= 1
         assert index.stats.maintenance_failures == 0
-
-
-# ----------------------------------------------------------------------
-# capability gating of autoselect candidates (satellite 2)
-# ----------------------------------------------------------------------
-
-
-class TestCapabilityGating:
-    GATED = ["segment", "static-interval", "disk"]
-
-    def test_gated_backends_never_reach_tuning_report_candidates(self):
-        index = PredicateIndex(
-            auto_backend=True,
-            auto_candidates=["ibs", "avl"] + self.GATED,
-            min_evidence_ops=8,
-        )
-        report = index.tuning_report()
-        assert set(report["candidates"]) == {"ibs", "avl"}
-        for name in self.GATED:
-            assert name in report["excluded_candidates"]
-        reasons = report["excluded_candidates"]
-        assert "disk" in reasons and "disk-backed" in reasons["disk"]
-
-    def test_gated_backends_never_chosen_by_autoselect(self):
-        rng = random.Random(5)
-        index = PredicateIndex(
-            auto_backend=True,
-            auto_candidates=["ibs", "avl", "flat"] + self.GATED,
-            min_evidence_ops=8,
-        )
-        for i in range(40):
-            index.add(make_pred(rng, "emp", i))
-        for _ in range(200):
-            index.match("emp", {"x": rng.uniform(-100, 100)})
-        decisions = index.autoselect()
-        report = index.tuning_report()
-        gated = set(self.GATED)
-        for decision in decisions:
-            assert decision.chosen_backend not in gated
-        for entry in report["decisions"].values():
-            assert entry.get("chosen_backend") not in gated
-        for entry in report["migrations"]:
-            assert entry.get("chosen_backend") not in gated
-
-    def test_all_candidates_gated_is_a_configuration_error(self):
-        with pytest.raises(PredicateError):
-            PredicateIndex(auto_backend=True, auto_candidates=self.GATED)
-
-    def test_unknown_candidate_passes_through_ungated(self):
-        # unknown names keep the legacy behaviour: accepted here, the
-        # error surfaces at trial-build time with the registry's message
-        index = PredicateIndex(auto_backend=True, auto_candidates=["ibs", "not-a-tree"])
-        assert "not-a-tree" in index.tuning_report()["candidates"]
 
 
 # ----------------------------------------------------------------------
@@ -484,14 +429,14 @@ class TestInterleavedDeterminism:
 # the differential guarantee: maintained index ≡ never-ticked twin
 # ----------------------------------------------------------------------
 
-CONFIGS = ["scalar", "autoselect", "columnar", "concurrent", "disk"]
+CONFIGS = ["scalar", "rebalance", "columnar", "concurrent", "disk"]
 
 
 def build_index(config, maintained, tmp_path, tag):
     policy = (
         MaintenancePolicy(
             retune_interval=48,
-            autoselect_interval=128,
+            rebalance_interval=128,
             compact_interval=64,
             checkpoint_interval=96,
             evict_interval=80,
@@ -504,10 +449,8 @@ def build_index(config, maintained, tmp_path, tag):
         index = PredicateIndex(
             adaptive=True, min_feedback_tuples=16, maintenance=policy
         )
-    elif config == "autoselect":
-        index = PredicateIndex(
-            auto_backend=True, min_evidence_ops=32, maintenance=policy
-        )
+    elif config == "rebalance":
+        index = PredicateIndex(maintenance=policy)
     elif config == "columnar":
         index = PredicateIndex(columnar=True, maintenance=policy)
     elif config == "concurrent":
@@ -573,13 +516,14 @@ class TestTickVsTwinDifferential:
         self, tmp_path, site, seed
     ):
         # each site fires on its natural configuration: the scheduler
-        # absorbs the injected fault and matching must not notice
-        config = {
-            "maint.task_raises": "scalar",
-            "maint.tick_during_migration": "autoselect",
-            "maint.checkpoint_preempted": "disk",
+        # absorbs the injected fault and matching must not notice; the
+        # rebuild site needs a degenerate tree to rebuild
+        config, family = {
+            "maint.task_raises": ("scalar", "churn-heavy"),
+            "maint.tick_during_migration": ("rebalance", "adversarial-unbalanced"),
+            "maint.checkpoint_preempted": ("disk", "churn-heavy"),
         }[site]
-        scenario = synthesize("churn-heavy", seed=seed, scale=0.2)
+        scenario = synthesize(family, seed=seed, scale=0.2)
         ticked, checkpointer = build_index(config, True, tmp_path, f"{site}-{seed}-t")
         twin, _ = build_index(config, False, tmp_path, f"{site}-{seed}-n")
         with injected(FaultInjector(seed=seed)) as injector:
@@ -587,6 +531,8 @@ class TestTickVsTwinDifferential:
             got = drive_and_collect(ticked, scenario, random.Random(seed))
         want = drive_and_collect(twin, scenario, random.Random(seed))
         assert got == want, (site, seed)
+        if site == "maint.tick_during_migration":
+            assert injector.fired
         if injector.fired and site == "maint.task_raises":
             report = ticked.maintenance_report()
             assert report["failures"], site
@@ -625,12 +571,11 @@ class TestMaintCrashDrills:
 
     @pytest.mark.parametrize("seed", MAINT_SEEDS)
     def test_tick_during_migration_aborts_before_commit(self, seed):
-        from repro.core.flat_ibs_tree import FlatIBSTree
-        from repro.match.autoselect import migrate_attribute_tree
+        from repro.match.catalog import rebuild_attribute_tree
 
         rng = random.Random(seed)
-        victim = PredicateIndex(auto_backend=True, min_evidence_ops=8)
-        twin = PredicateIndex(auto_backend=True, min_evidence_ops=8)
+        victim = PredicateIndex()
+        twin = PredicateIndex()
         for i in range(50):
             pred = make_pred(rng, "emp", i)
             victim.add(pred)
@@ -638,25 +583,16 @@ class TestMaintCrashDrills:
         probes = [{"x": rng.uniform(-100, 100)} for _ in range(150)]
         state = victim._catalog.relations["emp"]
         old_tree = state.trees["x"]
-        backends_before = victim.attribute_backends("emp")
+        version = state.version
         with injected(FaultInjector(seed=seed)) as injector:
             injector.arm("maint.tick_during_migration", at_hit=1)
             with pytest.raises(InjectedFault):
-                migrate_attribute_tree(
-                    victim._catalog,
-                    victim._store,
-                    "emp",
-                    state,
-                    "x",
-                    "flat",
-                    FlatIBSTree,
-                    victim._observer,
-                )
+                rebuild_attribute_tree(victim._store, state, "x", victim._observer)
             assert injector.fired
         # the abort landed before the commit point: old tree still live
         assert state.trees["x"] is old_tree
-        assert victim.attribute_backends("emp") == backends_before
-        assert victim.stats.backend_migrations == 0
+        assert state.version == version
+        assert victim.stats.tree_rebuilds == 0
         assert match_table(victim, "emp", probes) == match_table(twin, "emp", probes)
 
     @pytest.mark.parametrize("seed", MAINT_SEEDS)

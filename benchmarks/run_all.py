@@ -3,7 +3,7 @@
 
 Equivalent to ``python -m repro.bench.runner``.  Individual figures::
 
-    python benchmarks/run_all.py fig7 fig8 fig9 cost space abl1 abl2 e2e batch rebuild coldstart stabcache concurrency maint
+    python benchmarks/run_all.py fig7 fig8 fig9 cost space abl1 abl2 matcher-scaling batch rebuild coldstart stabcache concurrency maint
 
 ``--smoke`` runs every selected experiment (default: all) at a reduced
 scale — a fast sanity pass for CI, not a measurement.
@@ -22,7 +22,7 @@ from repro.bench.runner import (
     print_coldstart,
     print_concurrency,
     print_cost_model,
-    print_e2e,
+    print_matcher_scaling,
     print_fig7,
     print_fig8,
     print_fig9,
@@ -38,7 +38,7 @@ from repro.bench.runner import (
     run_batch,
     run_coldstart,
     run_concurrency,
-    run_e2e,
+    run_matcher_scaling,
     run_fig7,
     run_fig8,
     run_fig9,
@@ -58,7 +58,7 @@ RUNNERS = {
     "abl2": print_ablation_balancing,
     "abl3": print_ablation_selectivity,
     "abl4": print_ablation_multiclause,
-    "e2e": print_e2e,
+    "matcher-scaling": print_matcher_scaling,
     "batch": print_batch,
     "rebuild": print_rebuild,
     "coldstart": print_coldstart,
@@ -82,7 +82,9 @@ SMOKE = {
              print_ablation_selectivity),
     "abl4": (run_ablation_multiclause, {"predicates": 100, "tuples": 50},
              print_ablation_multiclause),
-    "e2e": (run_e2e, {"predicate_counts": (50, 100), "tuples": 50}, print_e2e),
+    "matcher-scaling": (run_matcher_scaling,
+                        {"predicate_counts": (50, 100), "tuples": 50},
+                        print_matcher_scaling),
     "batch": (run_batch, {"predicates": 500, "batch_size": 100, "repeats": 1},
               print_batch),
     "rebuild": (run_rebuild, {"intervals": 300, "repeats": 1}, print_rebuild),

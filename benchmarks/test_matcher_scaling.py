@@ -1,8 +1,8 @@
-"""E2E — end-to-end matcher throughput across strategies.
+"""MATCHER-SCALING — per-tuple matcher time across strategies.
 
-Extends the paper's evaluation with the full pipeline: the Figure 1
-scheme against the Section 2 baselines on the Section 5.2 scenario, at
-growing predicate counts.  Expected shape: the baselines scale
+Extends the paper's evaluation from one tree to the whole matcher: the
+Figure 1 scheme against the Section 2 baselines on the Section 5.2
+scenario, at growing predicate counts.  Expected shape: the baselines scale
 linearly in the number of predicates per relation, the IBS scheme
 logarithmically plus output cost, so the gap widens with scale.
 """
@@ -37,7 +37,7 @@ def build_matcher(strategy, workload, predicates):
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 @pytest.mark.parametrize("count", [100, 400])
-def test_e2e_match(benchmark, scenario_workload, strategy, count):
+def test_scaling_match(benchmark, scenario_workload, strategy, count):
     workload = scenario_workload(predicates=count)
     predicates = workload.predicates()["r0"]
     matcher = build_matcher(strategy, workload, predicates)
@@ -52,7 +52,7 @@ def test_e2e_match(benchmark, scenario_workload, strategy, count):
     benchmark(match_one)
 
 
-def test_e2e_strategies_agree(scenario_workload):
+def test_scaling_strategies_agree(scenario_workload):
     workload = scenario_workload(predicates=150)
     predicates = workload.predicates()["r0"]
     matchers = {
@@ -65,7 +65,7 @@ def test_e2e_strategies_agree(scenario_workload):
             assert got == reference, name
 
 
-def test_e2e_ibs_beats_linear_baselines_at_scale(scenario_workload):
+def test_scaling_ibs_beats_linear_baselines_at_scale(scenario_workload):
     import time
 
     workload = scenario_workload(predicates=800)

@@ -14,7 +14,7 @@ from .runner import (
     run_ablation_balancing,
     run_ablation_indexes,
     run_cost_model,
-    run_e2e,
+    run_matcher_scaling,
     run_fig7,
     run_fig8,
     run_fig9,
@@ -38,7 +38,7 @@ __all__ = [
     "run_space",
     "run_ablation_indexes",
     "run_ablation_balancing",
-    "run_e2e",
+    "run_matcher_scaling",
     "time_total",
     "time_per_op",
     "best_of",

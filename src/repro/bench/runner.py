@@ -6,18 +6,18 @@ table.  ``python -m repro.bench.runner`` runs everything.
 
 Experiment ids (see DESIGN.md / EXPERIMENTS.md):
 
-======  ==========================================================
-FIG7    average IBS-tree insertion time vs N, a in {0, 0.5, 1}
-FIG8    average IBS-tree search time vs N, a in {0, 0.5, 1}
-FIG9    IBS-tree vs sequential list, small N (the crossover plot)
-COST    Section 5.2 cost model: paper constants, calibrated
-        constants, and the directly measured matcher
-SPACE   Section 5.1 marker counts: overlapping vs disjoint intervals
-ABL1    dynamic interval index ablation (Section 6 future work)
-ABL2    balanced vs unbalanced IBS-tree under sorted insertion
-E2E     end-to-end matcher throughput vs number of predicates
-CONC    mixed read/write: mutable index vs epoch-snapshot facade
-======  ==========================================================
+===============  ============================================================
+FIG7             average IBS-tree insertion time vs N, a in {0, 0.5, 1}
+FIG8             average IBS-tree search time vs N, a in {0, 0.5, 1}
+FIG9             IBS-tree vs sequential list, small N (the crossover plot)
+COST             Section 5.2 cost model: paper constants, calibrated
+                 constants, and the directly measured matcher
+SPACE            Section 5.1 marker counts: overlapping vs disjoint intervals
+ABL1             dynamic interval index ablation (Section 6 future work)
+ABL2             balanced vs unbalanced IBS-tree under sorted insertion
+MATCHER-SCALING  per-tuple matcher time vs number of predicates
+CONC             mixed read/write: mutable index vs epoch-snapshot facade
+===============  ============================================================
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "run_ablation_balancing",
     "run_ablation_selectivity",
     "run_ablation_multiclause",
-    "run_e2e",
+    "run_matcher_scaling",
     "run_batch",
     "run_rebuild",
     "run_coldstart",
@@ -709,10 +709,10 @@ def print_ablation_multiclause(
 
 
 # ----------------------------------------------------------------------
-# E2E — matcher throughput vs predicate count
+# MATCHER-SCALING — per-tuple matcher time vs predicate count
 # ----------------------------------------------------------------------
 
-E2E_STRATEGIES: Tuple[str, ...] = ("ibs", "hash", "sequential", "locking", "rtree")
+SCALING_STRATEGIES: Tuple[str, ...] = ("ibs", "hash", "sequential", "locking", "rtree")
 
 
 def _make_matcher(strategy: str, workload: ScenarioWorkload) -> Any:
@@ -725,9 +725,9 @@ def _make_matcher(strategy: str, workload: ScenarioWorkload) -> Any:
     )
 
 
-def run_e2e(
+def run_matcher_scaling(
     predicate_counts: Sequence[int] = (50, 100, 200, 400, 800),
-    strategies: Sequence[str] = E2E_STRATEGIES,
+    strategies: Sequence[str] = SCALING_STRATEGIES,
     tuples: int = 200,
     seed: int = 12,
 ) -> List[Dict[str, Any]]:
@@ -765,11 +765,11 @@ def run_e2e(
     return rows
 
 
-def print_e2e(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, Any]]:
-    rows = rows if rows is not None else run_e2e()
+def print_matcher_scaling(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, Any]]:
+    rows = rows if rows is not None else run_matcher_scaling()
     strategies = [key for key in rows[0] if key != "predicates"]
     print_experiment(
-        "E2E: per-tuple matching time by strategy (microseconds/tuple)",
+        "MATCHER-SCALING: per-tuple matching time by strategy (microseconds/tuple)",
         ["predicates"] + strategies,
         [[row["predicates"]] + [row[s] for s in strategies] for row in rows],
         note="scenario: 15 attributes, 2 clauses/predicate, 90% indexable, sel=0.1",
@@ -1229,11 +1229,9 @@ def run_concurrency(
     distinct_values: int = 2_000,
     batch_size: int = 500,
     rounds: int = 20,
-    workers: int = 4,
     cache_size: int = 8_192,
     repeats: int = 3,
     seed: int = 47,
-    workers_curve: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, Any]]:
     """Mixed read/write matching: mutable index vs epoch snapshots.
 
@@ -1244,45 +1242,25 @@ def run_concurrency(
     *distinct_values* per attribute so values repeat **across** rounds
     (the steady state of a rule engine fed a stream of similar tuples).
 
-    Every row carries a ``pool`` field naming the execution tier, and
-    all configurations are answer-checked against the mutable index
+    Both configurations are answer-checked against the mutable index
     before timing:
 
     * ``serial`` / ``none`` — one mutable :class:`PredicateIndex` with
       the stab cache on.  Every write bumps a tree epoch, so the
       cross-round value repetition never pays off: each batch re-stabs
       all its values.
-    * ``snapshot`` / ``inline`` (workers=0) —
+    * ``snapshot`` / ``inline`` —
       :class:`ConcurrentPredicateIndex` matching inline.  Writes build
       a small overlay; the frozen base's trees never bump their
       epochs, so its stab cache stays warm across writes and
       steady-state batches skip the tree entirely.
-    * ``snapshot`` / ``process`` — the supervised multiprocess tier:
-      shard bases published once into shared memory, batches fanned to
-      worker processes over framed pipes, one row per worker count.
-    * ``snapshot`` / ``process-degraded`` — the process facade after
-      its restart budget is exhausted: matching falls back to the
-      in-process path with identical results, so this row prices the
-      graceful-degradation latency floor.
 
-    *workers_curve* defaults to ``(1, 2, 4, os.cpu_count())`` plus the
-    legacy *workers* count, deduplicated and sorted.
-
-    Honesty note: on a single CPU the process tier cannot win by
-    parallelism — any speedup over ``serial`` is the snapshot design's
-    *write isolation* (cache retention), and process rows pay pickling
-    + IPC per batch on top of the inline row.  On a multi-core host the
-    process rows overlap real CPU work across cores.  ``speedup`` is
-    relative to the ``serial`` row.
+    Both rows run on the calling thread, so any speedup over
+    ``serial`` is the snapshot design's *write isolation* (cache
+    retention), not parallelism.  ``speedup`` is relative to the
+    ``serial`` row.  Rows carry ``workers: 0`` so their configuration
+    keys match the committed ``BENCH_concurrency.json`` rows.
     """
-    if workers_curve is None:
-        workers_curve = (1, 2, 4, os.cpu_count() or 1)
-    curve: List[int] = []
-    for candidate in (*workers_curve, workers):
-        candidate = max(1, int(candidate))
-        if candidate not in curve:
-            curve.append(candidate)
-    curve.sort()
     rng = random.Random(seed)
     attributes = ("x", "y")
     predicate_list = []
@@ -1333,54 +1311,29 @@ def run_concurrency(
         "ibs", tree_factory="flat", stab_cache_size=cache_size
     )
     serial.add_many(predicate_list)
+    snapshot = DEFAULT_REGISTRY.create_matcher(
+        "ibs-concurrent", tree_factory="flat", snapshot_cache_size=cache_size
+    )
+    snapshot.add_many(predicate_list)
     sample = batches[0][:20]
     reference = [{p.ident for p in serial.match("r", tup)} for tup in sample]
-
-    def build_facade(worker_count: int) -> Any:
-        index = DEFAULT_REGISTRY.create_matcher(
-            "ibs-concurrent",
-            tree_factory="flat",
-            workers=worker_count,
-            snapshot_cache_size=cache_size,
-        )
-        index.add_many(predicate_list)
-        return index
+    answers = [{p.ident for p in row} for row in snapshot.match_batch("r", sample)]
+    if answers != reference:
+        raise AssertionError("concurrent facade disagrees with the mutable index")
 
     total = sum(len(batch) for batch in batches)
     rows: List[Dict[str, Any]] = []
     baseline: Optional[float] = None
-    configurations: List[Tuple[str, str, int]] = [
-        ("serial", "none", 0),
-        ("snapshot", "inline", 0),
-    ]
-    configurations += [("snapshot", "process", count) for count in curve]
-    configurations.append(("snapshot", "process-degraded", curve[-1]))
-    for mode, pool_kind, worker_count in configurations:
-        # Build, answer-check, time, and tear down each configuration in
-        # sequence so at most one process pool is alive at a time.
-        index = serial if mode == "serial" else build_facade(worker_count)
-        try:
-            if pool_kind == "process-degraded":
-                index.match_batch("r", sample)  # instantiate the pool first
-                index.degrade_process_tier("bench: degraded-mode row")
-            if mode != "serial":
-                answers = [
-                    {p.ident for p in row} for row in index.match_batch("r", sample)
-                ]
-                if answers != reference:
-                    raise AssertionError(
-                        f"concurrent facade ({pool_kind} row, "
-                        f"workers={worker_count}) disagrees with the mutable index"
-                    )
-            mixed_rounds(index)  # warm-up: steady-state caches
-            elapsed = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                mixed_rounds(index)
-                elapsed = min(elapsed, time.perf_counter() - start)
-        finally:
-            if mode != "serial":
-                index.close()
+    for mode, pool_kind, index in (
+        ("serial", "none", serial),
+        ("snapshot", "inline", snapshot),
+    ):
+        mixed_rounds(index)  # warm-up: steady-state caches
+        elapsed = math.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            mixed_rounds(index)
+            elapsed = min(elapsed, time.perf_counter() - start)
         throughput = total / elapsed
         if baseline is None:
             baseline = throughput
@@ -1388,7 +1341,7 @@ def run_concurrency(
             {
                 "mode": mode,
                 "pool": pool_kind,
-                "workers": worker_count,
+                "workers": 0,
                 "us_per_tuple": elapsed / total * 1e6,
                 "tuples_per_s": throughput,
                 "speedup": throughput / baseline,
@@ -1403,15 +1356,14 @@ def print_concurrency(
     rows = rows if rows is not None else run_concurrency()
     print_experiment(
         "CONCURRENCY: mutable index vs epoch snapshots, mixed read/write",
-        ["mode", "pool", "workers", "us_per_tuple", "tuples_per_s", "speedup"],
+        ["mode", "pool", "us_per_tuple", "tuples_per_s", "speedup"],
         [
-            [row["mode"], row["pool"], row["workers"], row["us_per_tuple"],
+            [row["mode"], row["pool"], row["us_per_tuple"],
              row["tuples_per_s"], row["speedup"]]
             for row in rows
         ],
-        note="speedup vs the mutable serial index; single-CPU host — gains "
-             "come from snapshot cache retention, not parallelism; process "
-             "rows add pickling + IPC per batch",
+        note="speedup vs the mutable serial index; both rows run inline — "
+             "gains come from snapshot cache retention, not parallelism",
     )
     return rows
 
@@ -1774,7 +1726,6 @@ def run_maintenance(
             time_config("ckpt-stop-world", stop_world, ck_stop)
         finally:
             ck_stop.close()
-            stop_world.close()
 
         background = DEFAULT_REGISTRY.create_matcher(
             "ibs-concurrent",
@@ -1791,7 +1742,6 @@ def run_maintenance(
             time_config("ckpt-background", background)
         finally:
             ck_back.close()
-            background.close()
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
     return rows
@@ -1832,7 +1782,7 @@ def main() -> None:
     print_ablation_balancing()
     print_ablation_selectivity()
     print_ablation_multiclause()
-    print_e2e()
+    print_matcher_scaling()
     print_batch()
     print_rebuild()
     print_coldstart()

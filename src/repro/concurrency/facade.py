@@ -10,10 +10,8 @@ registration, removal, compaction, and rebuilds:
 * reads are lock-free: a match loads the shard's current
   :class:`~repro.concurrency.shard.EpochSnapshot` once and works on
   that immutable state;
-* :meth:`match_batch` optionally hands the batch to the supervised
-  worker-process tier (:mod:`repro.parallel`), which answers in the
-  snapshot's canonical row order; the in-process fallback returns the
-  same rows in the same order.
+* :meth:`match_batch` answers a whole batch from one snapshot, inline
+  on the calling thread.
 
 Lock ordering (documented in ``docs/concurrency_model.md``): the
 facade's catalog lock protects only the shard table and the ident →
@@ -23,8 +21,9 @@ Publication hooks registered via :meth:`on_publish` run under the
 publishing shard's write lock and must not call back into the write
 API.
 
-On parallelism: reads run inline on the calling thread unless
-``workers`` asks for worker processes.  The measured advantage of
+On parallelism: reads run inline on the calling thread.  Matching is
+GIL-bound Python; neither a thread pool nor worker processes beat
+inline matching on the measured workloads.  The measured advantage of
 this layer on a mixed read/write workload (see the CONCURRENCY
 benchmark) comes from *snapshot isolation*: writes land in a small
 overlay instead of mutating the big per-attribute trees, so the frozen
@@ -89,30 +88,11 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         life of the snapshot.  This is the snapshot design's main
         single-CPU win over a mutable index, whose every write bumps a
         tree epoch and strands the entire cache.  ``0`` disables it.
-    workers:
-        Number of worker processes :meth:`match_batch` hands batches
-        to.  ``0`` (the default) matches inline on the calling thread.
-        ``N >= 1`` starts the supervised multiprocess tier
-        (:mod:`repro.parallel`) lazily on first use: shard bases are
-        published into shared memory and matched on ``N`` worker
-        processes.  The string ``"process"`` means one worker per CPU.
-        The tier is self-healing: worker crashes, hangs, and torn
-        frames are retried and, past the restart budget, the facade
-        **degrades** to the in-process path — results are identical in
-        every mode, only latency changes.  With ``workers >= 1`` all
-        ``match_batch`` rows are returned in the snapshot's canonical
-        order (:meth:`EpochSnapshot.canonical_rank`), whichever tier
-        served them, so results are reproducible across processes and
-        runs.  :meth:`close` reaps the workers (the facade is also a
-        context manager).
     compaction_threshold:
         Overlay/tombstone size at which a shard folds its overlay into
         a fresh bulk-loaded base.  ``None`` takes the policy's
         ``compaction_threshold`` when ``maintenance`` is given, else
         :data:`~repro.concurrency.shard.DEFAULT_COMPACTION_THRESHOLD`.
-    min_chunk:
-        Smallest per-worker tuple chunk worth dispatching to the
-        process tier; smaller batches run inline.
     columnar:
         Forwarded to every internal index: batch reads try the
         vectorized columnar plane (:mod:`repro.match.columnar`) first.
@@ -120,7 +100,10 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         their mutation version never moves and the plane is built once
         per compaction.  Safe under lock-free readers: the plane cache
         is a single GIL-atomic attribute publish of an immutable
-        object.  Silently inert when NumPy is not installed.  Cannot be
+        object.  Inert when NumPy is not installed.  Needs trees that
+        export a stab plane (``tree_factory="flat"``, or
+        ``storage="disk"``); any other backend raises
+        :class:`~repro.errors.ConcurrencyError` here.  Cannot be
         combined with ``multi_clause``.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` driving this
@@ -143,9 +126,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         tree_factory: Union[str, TreeFactory] = IBSTree,
         estimator: Optional[SelectivityEstimator] = None,
         multi_clause: bool = False,
-        workers: Union[int, str] = 0,
         compaction_threshold: Optional[int] = None,
-        min_chunk: int = 64,
         snapshot_cache_size: int = 4_096,
         columnar: bool = False,
         storage: str = "memory",
@@ -157,22 +138,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             from ..match.registry import DEFAULT_REGISTRY
 
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
-        if workers == "process":
-            import os
-
-            workers = os.cpu_count() or 1
-        elif isinstance(workers, str):
-            raise ConcurrencyError(
-                f"unknown pool kind {workers!r}: workers takes a count or 'process'"
-            )
-        if columnar and multi_clause:
-            raise ConcurrencyError(
-                "columnar=True cannot be combined with multi_clause=True"
-            )
-        if storage not in ("memory", "disk"):
-            raise ConcurrencyError(
-                f"unknown storage {storage!r}: expected 'memory' or 'disk'"
-            )
         if storage == "disk" and data_dir is None:
             import tempfile
 
@@ -184,8 +149,15 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         self._estimator = estimator
         self._multi_clause = bool(multi_clause)
         self._snapshot_cache_size = max(0, int(snapshot_cache_size))
-        self._workers = max(0, int(workers))
         self._columnar = bool(columnar)
+        try:
+            # Build one shard index now, so a configuration it rejects
+            # (unknown storage, columnar over trees without a stab
+            # plane or with multi_clause, memory_budget in memory)
+            # fails here and not at each relation's first add or match.
+            self._index_factory()
+        except ValueError as exc:
+            raise ConcurrencyError(str(exc)) from exc
         if compaction_threshold is None:
             # the policy owns the synchronous backstop threshold unless
             # the caller pinned one explicitly
@@ -195,7 +167,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 else DEFAULT_COMPACTION_THRESHOLD
             )
         self._compaction_threshold = int(compaction_threshold)
-        self._min_chunk = max(1, int(min_chunk))
         #: catalog lock: shard-table and routing-map writes only.
         self._catalog_lock = threading.Lock()
         self._shards: Dict[str, RelationShard] = {}
@@ -206,9 +177,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         self._relation_of: Dict[Hashable, str] = {}
         #: shared by every shard; appended to by :meth:`on_publish`.
         self._publish_hooks: List[PublishHook] = []
-        self._process_pool: Optional[Any] = None
-        self._pool_lock = threading.Lock()
-        self._closed = False
         self._maint_observer = StatsObserver(MatchStatistics())
         self._maintenance = self._build_maintenance(maintenance)
 
@@ -282,7 +250,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             return {"enabled": False, "clock_ops": 0, "tasks": {}, "failures": []}
         return self._maintenance.report()
 
-    # -- shard / pool management ---------------------------------------
+    # -- shard management ----------------------------------------------
 
     def _index_factory(self) -> PredicateIndex:
         return PredicateIndex(
@@ -418,79 +386,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             if self._relation_of.get(ident) == relation:
                 del self._relation_of[ident]
 
-    def _get_process_pool(self) -> Any:
-        pool = self._process_pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._process_pool
-                if pool is None:
-                    if self._closed:
-                        raise ConcurrencyError(
-                            "ConcurrentPredicateIndex is closed"
-                        )
-                    from ..parallel import ProcessMatchPool
-
-                    pool = ProcessMatchPool(
-                        workers=self._workers,
-                        min_chunk=self._min_chunk,
-                    )
-                    self._process_pool = pool
-        return pool
-
-    def _process_match(
-        self, snapshot: EpochSnapshot, tuple_list: List[Mapping[str, Any]]
-    ) -> Optional[List[List[Predicate]]]:
-        """One attempt at the process tier; ``None`` means fall back."""
-        try:
-            pool = self._get_process_pool()
-            return pool.match_batch(snapshot, tuple_list)
-        except (ConcurrencyError, RuntimeError):
-            # closed (or closing) facade, or a pool that cannot start:
-            # the caller runs the batch in-process instead
-            return None
-
-    def degrade_process_tier(self, reason: str) -> None:
-        """Force the process tier into degraded mode (bench/test hook).
-
-        Subsequent ``match_batch`` calls run on the in-process path with
-        identical results — this is the state the tier enters on its own
-        when every worker slot exhausts its restart budget.  No-op
-        unless ``workers >= 1``.
-        """
-        if self._workers < 1:
-            return
-        self._get_process_pool().degrade(reason)
-
-    def process_stats(self) -> Optional[Dict[str, Any]]:
-        """Diagnostics from the process tier (``None`` before first use).
-
-        Keys include ``live``, ``restarts``, ``kills``, ``quarantined``,
-        ``degraded`` and ``segments`` — see
-        :meth:`repro.parallel.ProcessMatchPool.stats`.
-        """
-        pool = self._process_pool
-        return pool.stats() if pool is not None else None
-
-    def close(self) -> None:
-        """Shut down the process tier.  Idempotent.
-
-        Matching stays available afterwards (it just runs inline, with
-        unchanged results); registration is unaffected.  This reaps
-        every worker process and unlinks every published shared-memory
-        segment.
-        """
-        with self._pool_lock:
-            self._closed = True
-            process_pool = self._process_pool
-        if process_pool is not None:
-            process_pool.close()
-
-    def __enter__(self) -> "ConcurrentPredicateIndex":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     # -- publication hooks ---------------------------------------------
 
     def on_publish(self, hook: PublishHook) -> None:
@@ -610,23 +505,10 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         """Match several tuples against one epoch.
 
         The whole batch is served by a **single** snapshot — a batch
-        never straddles a concurrent write.  With ``workers >= 1`` the
-        batch is first offered to the supervised multiprocess tier; if
-        it declines (too small, no worker available, degraded after
-        exhausting its restart budget, or the facade is closed) the
-        batch runs in-process instead.  Either way the rows are
-        identical and arrive in the snapshot's canonical order.
+        never straddles a concurrent write.
         """
-        snapshot = self.snapshot(relation)
         tuple_list = tuples if isinstance(tuples, list) else list(tuples)
-        if self._workers >= 1:
-            rows = self._process_match(snapshot, tuple_list)
-            if rows is None:
-                # degraded / declined: in-process answer, same canonical
-                # order as the process tier so results are mode-independent
-                rows = snapshot.canonical_rows(snapshot.match_batch(tuple_list))
-        else:
-            rows = snapshot.match_batch(tuple_list)
+        rows = self.snapshot(relation).match_batch(tuple_list)
         if self._maintenance is not None and tuple_list:
             self._tick(relation, len(tuple_list))
         return rows
@@ -724,5 +606,5 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     def __repr__(self) -> str:
         return (
             f"<ConcurrentPredicateIndex {len(self)} predicates over "
-            f"{len(self._shards)} shards, workers={self._workers}>"
+            f"{len(self._shards)} shards>"
         )

@@ -117,12 +117,14 @@ class PredicateIndex:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
         :meth:`match_batch` call.  The plane is derived lazily from
-        the attribute trees (which must support
-        ``export_stab_plane`` — the flat backend does), cached on the
-        relation's mutation version, and silently skipped when NumPy
-        is not installed or the batch leaves the plane's numeric
-        domain; the scalar pipeline remains the semantics of record.
-        Cannot be combined with ``adaptive`` or ``multi_clause``.
+        the attribute trees, cached on the relation's mutation
+        version, and skipped when NumPy is not installed or the batch
+        leaves the plane's numeric domain; the scalar pipeline remains
+        the semantics of record.  The tree backend must export a stab
+        plane (``tree_factory="flat"``, or ``storage="disk"``); any
+        other backend raises ``ValueError`` here instead of running
+        scalar.  Cannot be combined with ``adaptive`` or
+        ``multi_clause``.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
         periodic mechanism (retune, rebalance, disk-tier eviction)
@@ -197,6 +199,12 @@ class PredicateIndex:
             if memory_budget is not None:
                 raise ValueError("memory_budget requires storage='disk'")
             self._store = TreeStore(tree_factory, stab_cache_size)
+        if columnar and not hasattr(self._store.tree_factory, "export_stab_plane"):
+            raise ValueError(
+                "columnar=True needs a tree backend that exports a stab "
+                "plane (tree_factory='flat' or storage='disk'), not "
+                f"{getattr(tree_factory, '__name__', tree_factory)!r}"
+            )
         self._observer = StatsObserver(MatchStatistics())
         self._pipeline = MatchPipeline(
             self._catalog,

@@ -150,8 +150,8 @@ class RelationState:
 
     def __getstate__(self) -> Dict[str, Any]:
         # Compiled residuals hold local closures, which cannot be
-        # pickled (the process pool ships frozen indexes to workers):
-        # leave them out and recompile them on load.
+        # pickled: leave them out and recompile them on load, so a
+        # frozen index stays an ordinary picklable value.
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         del state["residuals"]
         return state

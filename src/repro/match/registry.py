@@ -46,8 +46,8 @@ __all__ = [
 #: Zero-argument constructor for an interval-index backend.
 TreeFactory = Callable[[], Any]
 #: Keyword-options builder for a complete predicate matcher.  Builders
-#: receive every option the caller passed (``estimator``, ``workers``,
-#: …) and use the ones that apply to their backend.
+#: receive every option the caller passed (``estimator``,
+#: ``maintenance``, …) and use the ones that apply to their backend.
 MatcherBuilder = Callable[..., Any]
 
 #: Capability flags declared by :class:`~repro.baselines.base.IntervalIndex`
@@ -230,7 +230,7 @@ class BackendRegistry:
 # is still initialising (it re-exports the match layer), so a
 # module-level import would see a half-built module.
 #
-# Callers pass one uniform option set (``estimator``, ``workers``, …);
+# Callers pass one uniform option set (``estimator``, ``maintenance``, …);
 # each builder keeps only the options its backend understands, so e.g.
 # the rule engine can hand its estimator to every strategy and the
 # baselines simply don't use it.  A name no built-in builder knows is
@@ -257,9 +257,7 @@ _CONCURRENT_OPTIONS = (
     "tree_factory",
     "estimator",
     "multi_clause",
-    "workers",
     "compaction_threshold",
-    "min_chunk",
     "snapshot_cache_size",
     "columnar",
     "storage",
@@ -337,13 +335,14 @@ def _disk_tree() -> Any:
     return DiskIBSTree()
 
 
-# declarative mirror of DiskIBSTree's flags, so `describe_backend` can
-# answer without importing the disk tier
+# declarative mirror of DiskIBSTree's flags, so `describe_backend` and
+# the columnar stab-plane check can answer without importing the disk tier
 _disk_tree.supports_dynamic_insert = True  # type: ignore[attr-defined]
 _disk_tree.supports_dynamic_delete = True  # type: ignore[attr-defined]
 _disk_tree.supports_open_bounds = True  # type: ignore[attr-defined]
 _disk_tree.supports_unbounded = True  # type: ignore[attr-defined]
 _disk_tree.disk_backed = True  # type: ignore[attr-defined]
+_disk_tree.export_stab_plane = True  # type: ignore[attr-defined]
 _disk_tree.__name__ = "DiskIBSTree"
 
 
@@ -466,7 +465,6 @@ DEFAULT_REGISTRY.register_matcher(
     "ibs-concurrent",
     _build_ibs_concurrent,
     "sharded epoch-snapshot concurrent predicate index",
-    capabilities={"process_parallel": True},
 )
 DEFAULT_REGISTRY.register_matcher(
     "disk",
@@ -480,7 +478,7 @@ DEFAULT_REGISTRY.register_matcher(
     _build_disk_concurrent,
     "concurrent disk-tier index: compaction publishes mmap'd bases, "
     "checkpoints are incremental per shard",
-    capabilities={"disk_backed": True, "process_parallel": True},
+    capabilities={"disk_backed": True},
 )
 DEFAULT_REGISTRY.register_matcher(
     "sequential", _build_sequential, "Section 2.1: one flat predicate list"

@@ -275,8 +275,9 @@ class RuleEngine:
     def close(self) -> None:
         """Detach from the database's event bus.
 
-        Also releases matcher-held resources (the concurrent matcher's
-        worker pool); matchers without a ``close`` are unaffected.
+        Also calls the matcher's ``close`` when it has one (no built-in
+        matcher does; a custom matcher may hold resources); matchers
+        without a ``close`` are unaffected.
         """
         self._unsubscribe()
         closer = getattr(self.matcher, "close", None)

@@ -177,7 +177,7 @@ class ScenarioConfig:
 class ScenarioWorkload:
     """End-to-end workload: relations, predicates, and tuple streams.
 
-    Used by the COST and E2E experiments.  Relations are named
+    Used by the COST and MATCHER-SCALING experiments.  Relations are named
     ``r0 .. r<k>``; attributes ``a0 .. a14``.  Predicates restrict
     attributes drawn from the designated "predicate attributes" of
     their relation, with interval widths set so each clause matches

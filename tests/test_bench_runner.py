@@ -6,7 +6,7 @@ from repro.bench.runner import (
     run_ablation_balancing,
     run_ablation_indexes,
     run_cost_model,
-    run_e2e,
+    run_matcher_scaling,
     run_fig7,
     run_fig8,
     run_fig9,
@@ -88,12 +88,12 @@ class TestAblationRunners:
         assert by_name["ibs-avl"]["height"] <= 14  # ~1.44*log2(400)
 
 
-class TestE2ERunner:
+class TestMatcherScalingRunner:
     def test_strategies_agree_and_ibs_wins_at_scale(self):
         # timing comparison: best-of-3 runs so a scheduler hiccup in a
         # single pass cannot flip the (large) expected gap
         for attempt in range(3):
-            rows = run_e2e(
+            rows = run_matcher_scaling(
                 predicate_counts=(400,),
                 strategies=("ibs", "hash", "sequential"),
                 tuples=100,

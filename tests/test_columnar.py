@@ -133,18 +133,13 @@ def test_registered_backends_agree(subtests=None):
     oracle = loaded(PredicateIndex(), predicates)
     expected = [sorted(oracle.match_idents("r", t)) for t in batch]
     for name in DEFAULT_REGISTRY.matchers():
-        matcher = DEFAULT_REGISTRY.create_matcher(name)
-        try:
-            loaded(matcher, predicates)
-            assert ident_rows(matcher.match_batch("r", batch)) == expected, name
-            if hasattr(matcher, "freeze"):
-                matcher.freeze()
-                assert (
-                    ident_rows(matcher.match_batch("r", batch)) == expected
-                ), f"{name} (frozen)"
-        finally:
-            if hasattr(matcher, "close"):
-                matcher.close()
+        matcher = loaded(DEFAULT_REGISTRY.create_matcher(name), predicates)
+        assert ident_rows(matcher.match_batch("r", batch)) == expected, name
+        if hasattr(matcher, "freeze"):
+            matcher.freeze()
+            assert (
+                ident_rows(matcher.match_batch("r", batch)) == expected
+            ), f"{name} (frozen)"
 
 
 def test_out_of_domain_values_use_the_scalar_pipeline():
@@ -253,12 +248,12 @@ def test_concurrent_facade_with_columnar_snapshots():
     batch = [make_tuple(rng) for _ in range(60)]
     oracle = loaded(PredicateIndex(tree_factory="flat"), predicates)
     expected = [sorted(oracle.match_idents("r", t)) for t in batch]
-    with ConcurrentPredicateIndex(tree_factory="flat", columnar=True) as index:
-        for predicate in predicates:
-            index.add(predicate)
-        assert ident_rows(index.match_batch("r", batch)) == expected
-        index.compact()  # snapshot bases are frozen -> plane built once
-        assert ident_rows(index.match_batch("r", batch)) == expected
+    index = ConcurrentPredicateIndex(tree_factory="flat", columnar=True)
+    for predicate in predicates:
+        index.add(predicate)
+    assert ident_rows(index.match_batch("r", batch)) == expected
+    index.compact()  # snapshot bases are frozen -> plane built once
+    assert ident_rows(index.match_batch("r", batch)) == expected
 
 
 def test_concurrent_single_tuple_reads_skip_the_plane():
@@ -268,15 +263,15 @@ def test_concurrent_single_tuple_reads_skip_the_plane():
     predicates = build_predicates(rng, 40)
     batch = [make_tuple(rng) for _ in range(20)]
     oracle = loaded(PredicateIndex(tree_factory="flat"), predicates)
-    with ConcurrentPredicateIndex(tree_factory="flat", columnar=True) as index:
-        for predicate in predicates:
-            index.add(predicate)
-        index.compact()
-        base = index.snapshot("r").base
-        for tup in batch:
-            assert index.match_idents("r", tup) == oracle.match_idents("r", tup)
-        assert base.stats.batches_matched == 0
-        assert base.stats.tuples_matched == len(batch)
+    index = ConcurrentPredicateIndex(tree_factory="flat", columnar=True)
+    for predicate in predicates:
+        index.add(predicate)
+    index.compact()
+    base = index.snapshot("r").base
+    for tup in batch:
+        assert index.match_idents("r", tup) == oracle.match_idents("r", tup)
+    assert base.stats.batches_matched == 0
+    assert base.stats.tuples_matched == len(batch)
 
 
 def test_columnar_capability_flags():
@@ -304,3 +299,39 @@ def test_columnar_with_scalar_only_option_is_rejected(option):
 def test_concurrent_columnar_multi_clause_is_rejected():
     with pytest.raises(ConcurrencyError, match="columnar"):
         ConcurrentPredicateIndex(columnar=True, multi_clause=True)
+
+
+@pytest.mark.parametrize("backend", ["ibs", "avl", "rb", "interval-list"])
+def test_columnar_over_trees_without_a_stab_plane_is_rejected(backend):
+    """Only trees that export a stab plane can feed the plane; any other
+    backend used to run scalar without a word, so it fails at
+    construction on both index classes."""
+    with pytest.raises(ValueError, match="stab plane"):
+        PredicateIndex(tree_factory=backend, columnar=True)
+    with pytest.raises(ConcurrencyError, match="stab plane"):
+        ConcurrentPredicateIndex(tree_factory=backend, columnar=True)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the plane needs NumPy")
+def test_disk_storage_serves_batches_from_the_plane(tmp_path):
+    """The disk tier's segment trees export a stab plane, so
+    ``storage="disk"`` keeps ``columnar=True`` and never descends a tree
+    on a batch."""
+    rng = random.Random(23)
+    predicates = build_predicates(rng, 40)
+    batch = [make_tuple(rng) for _ in range(30)]
+    oracle = loaded(PredicateIndex(tree_factory="flat"), predicates)
+    expected = [sorted(oracle.match_idents("r", t)) for t in batch]
+    index = loaded(
+        PredicateIndex(columnar=True, storage="disk", data_dir=str(tmp_path / "a")),
+        predicates,
+    )
+    assert ident_rows(index.match_batch("r", batch)) == expected
+    assert index.stats.trees_searched == 0
+    facade = loaded(
+        ConcurrentPredicateIndex(
+            columnar=True, storage="disk", data_dir=str(tmp_path / "b")
+        ),
+        predicates,
+    )
+    assert ident_rows(facade.match_batch("r", batch)) == expected

@@ -126,17 +126,6 @@ def test_shard_rejects_foreign_relation():
         shard.add(interval_pred("a", 0, 1, relation="other"))
 
 
-def test_close_is_idempotent_and_context_manager_closes():
-    with ConcurrentPredicateIndex(workers=1, min_chunk=1) as idx:
-        idx.add(interval_pred("a", 0, 10))
-        idx.match_batch("r", [{"x": 1}] * 8)
-    idx.close()  # second close is a no-op
-    # matching still works inline after close
-    assert idx.match_idents("r", {"x": 5}) == {"a"}
-    rows = idx.match_batch("r", [{"x": 1}] * 8)
-    assert [[p.ident for p in row] for row in rows] == [["a"]] * 8
-
-
 # ----------------------------------------------------------------------
 # differential: concurrent run vs serial replay, all four backends
 # ----------------------------------------------------------------------
@@ -160,7 +149,6 @@ def test_stress_concurrent_equals_serial_replay(backend):
     report = driver.run()
     assert report["observations"] == 8 * 80
     assert sum(report["publications"].values()) == 4 * 40
-    idx.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
@@ -231,23 +219,8 @@ def test_concurrent_readers_see_only_published_epochs():
 
 
 # ----------------------------------------------------------------------
-# regression: close semantics, routing-map guards
+# regression: routing-map guards, construction-time option checks
 # ----------------------------------------------------------------------
-
-
-def test_match_batch_after_close_runs_inline():
-    """close() promises matching stays available; it must not raise."""
-    idx = ConcurrentPredicateIndex(workers=2, min_chunk=2)
-    for i in range(10):
-        idx.add(interval_pred(f"p{i}", i, i + 5))
-    tuples = [{"x": v % 16} for v in range(40)]  # >= min_chunk: process tier
-    before = idx.match_batch("r", tuples)
-    idx.close()
-    after = idx.match_batch("r", tuples)
-    assert [[p.ident for p in row] for row in after] == [
-        [p.ident for p in row] for row in before
-    ]
-    assert idx.match_batch("other", [{"x": 1}]) == [[]]
 
 
 def test_cross_relation_duplicate_ident_rejected():
@@ -321,3 +294,17 @@ def test_introspection_safe_during_concurrent_shard_creation():
     assert not errors
     assert len(idx) == 300
     assert len(idx.relations()) == 300
+
+
+def test_memory_budget_without_disk_storage_is_rejected_at_construction():
+    """The budget only bounds the disk tier's decoded trees; on the
+    memory tier it used to pass construction and then fail every
+    first write or read of a relation."""
+    with pytest.raises(ConcurrencyError, match="memory_budget"):
+        ConcurrentPredicateIndex(memory_budget=1 << 20)
+
+
+@pytest.mark.parametrize("option", ["workers", "min_chunk"])
+def test_removed_process_tier_options_are_unknown(option):
+    with pytest.raises(TypeError, match=option):
+        ConcurrentPredicateIndex(**{option: 2})

@@ -94,26 +94,22 @@ def test_differential_matchers(seed, tmp_path):
         db.create_relation("r", ["a", "b", "dept"])
         collect = CollectAction()
         matcher = build_matcher(strategy, tmp_path)
-        try:
-            engine = RuleEngine(db, matcher=matcher, functions=FNS)
-            for index, text in enumerate(conditions):
-                engine.create_rule(
-                    f"rule{index}", on="r", condition=text, action=collect,
-                    on_events=("insert", "update"),
-                )
-            live: List[int] = []
-            step_rng = random.Random(seed + 999)
-            for op, tup in script:
-                if op == "insert":
-                    live.append(db.insert("r", dict(tup)))
-                elif op == "update" and live:
-                    db.update("r", step_rng.choice(live), dict(tup))
-                elif op == "delete" and live:
-                    tid = live.pop(step_rng.randrange(len(live)))
-                    db.delete("r", tid)
-        finally:
-            if hasattr(matcher, "close"):
-                matcher.close()
+        engine = RuleEngine(db, matcher=matcher, functions=FNS)
+        for index, text in enumerate(conditions):
+            engine.create_rule(
+                f"rule{index}", on="r", condition=text, action=collect,
+                on_events=("insert", "update"),
+            )
+        live: List[int] = []
+        step_rng = random.Random(seed + 999)
+        for op, tup in script:
+            if op == "insert":
+                live.append(db.insert("r", dict(tup)))
+            elif op == "update" and live:
+                db.update("r", step_rng.choice(live), dict(tup))
+            elif op == "delete" and live:
+                tid = live.pop(step_rng.randrange(len(live)))
+                db.delete("r", tid)
         transcripts[strategy] = [
             (name, tuple(sorted(tup.items()))) for name, tup in collect.records
         ]
@@ -150,6 +146,7 @@ def test_differential_matchers(seed, tmp_path):
                 oracle.append((name, tuple(sorted(image.items()))))
 
     expected = sorted(oracle)
+    assert sorted(transcripts["sequential"]) == expected
     for strategy, transcript in transcripts.items():
         assert sorted(transcript) == expected, (
             f"strategy {strategy!r} diverged on seed {seed}"

@@ -452,7 +452,9 @@ def build_index(config, maintained, tmp_path, tag):
     elif config == "rebalance":
         index = PredicateIndex(maintenance=policy)
     elif config == "columnar":
-        index = PredicateIndex(columnar=True, maintenance=policy)
+        index = PredicateIndex(
+            tree_factory="flat", columnar=True, maintenance=policy
+        )
     elif config == "concurrent":
         index = ConcurrentPredicateIndex(maintenance=policy)
     elif config == "disk":

@@ -220,8 +220,8 @@ class TestDifferential:
 
     @pytest.mark.parametrize("options", list(OPTIONS.values()), ids=list(OPTIONS))
     def test_pickled_index_matches_oracle(self, options):
-        """Compiled residuals are closures: a pickled index (the process
-        pool ships frozen ones to its workers) recompiles them on load."""
+        """Compiled residuals are closures: a pickled frozen index
+        recompiles them on load."""
         rng = random.Random(7)
         index = PredicateIndex(**options)
         index.add_many(build_predicates(rng, 40))

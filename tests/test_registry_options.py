@@ -26,6 +26,10 @@ from repro.rules import RuleEngine
         ("disk", "auto_candidates"),
         ("sequential", "auto_cost_table"),
         ("locking", "no_such_option"),
+        ("ibs-concurrent", "workers"),
+        ("ibs-concurrent", "min_chunk"),
+        ("disk-concurrent", "workers"),
+        ("ibs", "min_chunk"),
     ],
 )
 def test_unknown_option_raises(matcher, option):
@@ -36,7 +40,9 @@ def test_unknown_option_raises(matcher, option):
 def test_options_of_another_matcher_are_still_accepted():
     # the uniform option set: a concurrent-only option is known, so an
     # ibs builder drops it instead of raising
-    index = DEFAULT_REGISTRY.create_matcher("ibs", workers=0, stab_cache_size=8)
+    index = DEFAULT_REGISTRY.create_matcher(
+        "ibs", compaction_threshold=8, stab_cache_size=8
+    )
     assert index.name == "ibs"
 
 
@@ -45,10 +51,7 @@ def test_shared_options_reach_every_builder(matcher, tmp_path):
     options = {"estimator": None, "maintenance": MaintenancePolicy()}
     if matcher.startswith("disk"):
         options["data_dir"] = str(tmp_path)
-    built = DEFAULT_REGISTRY.create_matcher(matcher, **options)
-    close = getattr(built, "close", None)
-    if close is not None:
-        close()
+    DEFAULT_REGISTRY.create_matcher(matcher, **options)
 
 
 def test_auto_matcher_is_gone():

@@ -7,7 +7,7 @@ from repro.bench.runner import (
     print_ablation_indexes,
     print_ablation_selectivity,
     print_cost_model,
-    print_e2e,
+    print_matcher_scaling,
     print_fig7,
     print_fig8,
     print_fig9,
@@ -16,7 +16,7 @@ from repro.bench.runner import (
     run_ablation_indexes,
     run_ablation_selectivity,
     run_cost_model,
-    run_e2e,
+    run_matcher_scaling,
     run_fig7,
     run_fig8,
     run_fig9,
@@ -50,10 +50,10 @@ from repro.bench.runner import (
             "ABL3",
         ),
         (
-            print_e2e,
-            run_e2e,
+            print_matcher_scaling,
+            run_matcher_scaling,
             {"predicate_counts": (30,), "strategies": ("ibs", "hash"), "tuples": 20},
-            "E2E",
+            "MATCHER-SCALING",
         ),
     ],
 )

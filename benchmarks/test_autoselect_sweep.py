@@ -22,8 +22,10 @@ Acceptance criteria (throughput bars asserted at full scale):
   auto row's answers are re-checked after its rebalance pass (enforced
   inside ``run_autoselect`` itself — a disagreement raises).
 
-Running this module rewrites ``BENCH_autoselect.json`` at the repo
-root.  The rebuilt ``(relation, attribute)`` pairs land in the file's
+Each cell is the best of nine passes, taken round-robin across a
+scenario's six configurations so that a slow stretch of the host does
+not land on one cell.  Running this module rewrites
+``BENCH_autoselect.json`` at the repo root.  The rebuilt ``(relation, attribute)`` pairs land in the file's
 ``tuning`` section, not in ``rows``, so they do not participate in
 ``compare_bench`` row matching.
 

@@ -2,13 +2,13 @@
 
 The maintenance plane (``repro.maintenance``, see ``docs/maintenance.md``)
 puts one op-count tick on every hot path — `match`, `match_batch`, and
-the predicate writes.  That tick buys deterministic retuning,
-auto-selection, compaction, checkpointing, and eviction, but it must
-not buy them with matching throughput.  This module runs
+the predicate writes.  That tick buys deterministic rebalancing,
+compaction, checkpointing, and eviction, but it must not buy them with
+matching throughput.  This module runs
 ``repro.bench.runner.run_maintenance`` and holds it to:
 
-* **tick overhead** — the ``scheduler-idle`` row (policy installed,
-  no task ever due: pure clock-and-due-scan cost) loses at most 5 %
+* **tick overhead** — the ``scheduler-idle`` row (a ``rebalance`` task
+  registered but never due: pure clock-and-due-scan cost) loses at most 5 %
   throughput against the ``scheduler-off`` row
   (``test_idle_overhead_within_bar``);
 * **pause spreading** — the ``ckpt-background`` row (scheduler-driven

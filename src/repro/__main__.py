@@ -145,9 +145,9 @@ def _describe(name: str) -> int:
 def _maintenance(arguments: list) -> int:
     """Drive the unified maintenance scheduler over a synthetic workload.
 
-    Builds one adaptive ``PredicateIndex`` per scenario family with a
-    :class:`~repro.maintenance.MaintenancePolicy` (retune and rebalance
-    tasks), plays the family's churn and batches (every write and
+    Builds one ``PredicateIndex`` per scenario family with a
+    :class:`~repro.maintenance.MaintenancePolicy` (the rebalance task),
+    plays the family's churn and batches (every write and
     matched tuple ticks the clock), then prints the scheduler's task table — runs, failures,
     next-due op — and the dead-letter queue, mirroring
     ``maintenance_report()``.
@@ -168,11 +168,7 @@ def _maintenance(arguments: list) -> int:
     from .workloads.scenarios import scenario_names, synthesize
 
     scale = 0.25 if quick else 1.0
-    policy = MaintenancePolicy(
-        retune_interval=64,
-        rebalance_interval=256,
-        quarantine_failures=3,
-    )
+    policy = MaintenancePolicy(rebalance_interval=256, quarantine_failures=3)
     print(
         f"unified maintenance plane over the synthesized scenarios "
         f"(seed {seed}, scale {scale:g}):"
@@ -181,11 +177,7 @@ def _maintenance(arguments: list) -> int:
     for family in scenario_names():
         scenario = synthesize(family, seed=seed, scale=scale)
         relation = scenario.spec.relation
-        index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=16,
-            maintenance=policy,
-        )
+        index = PredicateIndex(maintenance=policy)
         for predicate in scenario.predicates():
             index.add(predicate)
         for op, payload in scenario.churn():

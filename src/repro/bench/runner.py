@@ -1428,9 +1428,10 @@ def run_autoselect(
     are checked against the first backend's on a sample — and the auto
     row is re-checked *after* its rebalance pass, so the sweep itself
     proves rebuilds preserve match semantics.  Timings are best of
-    *repeats* after warm-up (passes are milliseconds long, so the
-    default is high enough for the best-of to converge under container
-    timer jitter); ``ops_per_s`` counts logical operations (stabs plus
+    *repeats* after warm-up, taken round-robin across a scenario's
+    configurations (passes are milliseconds long, so the default is
+    high enough for the best-of to converge under container timer
+    jitter); ``ops_per_s`` counts logical operations (stabs plus
     churn adds/removes, including the undo).
 
     *scale* shrinks or grows every scenario (``--quick`` uses 0.25);
@@ -1453,8 +1454,9 @@ def run_autoselect(
         sample = [tup for tup in batches[0][:20]]
         ops = scenario.total_stabs() + 4 * len(churn)
         reference: Optional[List[frozenset]] = None
-        family_rows: List[Dict[str, Any]] = []
-        for backend in AUTOSELECT_FIXED_BACKENDS + ("auto",):
+        backends = AUTOSELECT_FIXED_BACKENDS + ("auto",)
+        passes: List[Callable[[], None]] = []
+        for backend in backends:
             if backend == "auto":
                 index = PredicateIndex()
             else:
@@ -1489,19 +1491,25 @@ def run_autoselect(
                     raise AssertionError(
                         f"{family}: the rebalance pass changed match results"
                     )
-            elapsed = math.inf
-            for _ in range(repeats):
+            passes.append(work)
+        # Round-robin: repeat r times every configuration once before
+        # repeat r + 1, so a slow stretch of the host is spread over
+        # all cells instead of landing on one backend's repeats.
+        elapsed = [math.inf] * len(passes)
+        for _ in range(repeats):
+            for cell, work in enumerate(passes):
                 start = time.perf_counter()
                 work()
-                elapsed = min(elapsed, time.perf_counter() - start)
-            family_rows.append(
-                {
-                    "scenario": family,
-                    "backend": backend,
-                    "ms_per_pass": elapsed * 1e3,
-                    "ops_per_s": ops / elapsed,
-                }
-            )
+                elapsed[cell] = min(elapsed[cell], time.perf_counter() - start)
+        family_rows = [
+            {
+                "scenario": family,
+                "backend": backend,
+                "ms_per_pass": took * 1e3,
+                "ops_per_s": ops / took,
+            }
+            for backend, took in zip(backends, elapsed)
+        ]
         fixed = [row for row in family_rows if row["backend"] != "auto"]
         best = max(row["ops_per_s"] for row in fixed)
         worst = min(row["ops_per_s"] for row in fixed)
@@ -1559,9 +1567,8 @@ def run_maintenance(
       ``MaintenancePolicy`` whose tasks never come due, so its extra
       cost is exactly the per-op clock tick and due-scan on the hot
       paths (the ≤5 % acceptance bar applies to this row);
-      ``scheduler-active`` additionally runs real retune passes
-      (``adaptive=True``), pricing maintenance *work*, not just the
-      plane.
+      ``scheduler-active`` runs a real ``rebalance()`` pass every two
+      rounds, pricing maintenance *work*, not just the plane.
     * **Checkpoint pauses** — on the disk facade, ``ckpt-stop-world``
       runs a full ``DiskCheckpointer.checkpoint()`` inline every
       *checkpoint_every* rounds; ``ckpt-background`` lets the
@@ -1573,8 +1580,10 @@ def run_maintenance(
       the stop-the-world row's at full scale.
 
     Every configuration is answer-checked against ``scheduler-off`` on
-    a sample before timing; ``overhead_pct`` is throughput loss vs the
-    ``scheduler-off`` row (negative = faster, noise).
+    a sample before timing.  Each row is the best of *repeats* passes,
+    taken round-robin across the configurations; ``overhead_pct`` is
+    throughput loss vs the ``scheduler-off`` row (negative = faster,
+    noise).
     """
     import shutil
     import tempfile
@@ -1664,56 +1673,28 @@ def run_maintenance(
                     f"scheduler-free index on {relation}"
                 )
 
-    rows: List[Dict[str, Any]] = []
-    baseline: Optional[float] = None
-
-    def time_config(
-        mode: str, index: Any, checkpointer: Any = None
-    ) -> Dict[str, Any]:
-        nonlocal baseline
-        check(index, mode)
-        mixed_rounds(index, checkpointer)  # warm-up
-        elapsed, worst = math.inf, 0.0
-        for _ in range(repeats):
-            start = time.perf_counter()
-            pause = mixed_rounds(index, checkpointer)
-            took = time.perf_counter() - start
-            if took < elapsed:
-                elapsed, worst = took, pause
-        throughput = total / elapsed
-        if baseline is None:
-            baseline = throughput
-        row = {
-            "mode": mode,
-            "us_per_tuple": elapsed / total * 1e6,
-            "tuples_per_s": throughput,
-            "overhead_pct": (1.0 - throughput / baseline) * 100.0,
-            "max_pause_ms": worst * 1e3,
-        }
-        rows.append(row)
-        return row
-
-    time_config("scheduler-off", baseline_index)
+    configs: List[Tuple[str, Any, Any]] = [("scheduler-off", baseline_index, None)]
 
     idle = DEFAULT_REGISTRY.create_matcher(
         "ibs",
         tree_factory="flat",
-        maintenance=MaintenancePolicy(retune_interval=never),
+        maintenance=MaintenancePolicy(rebalance_interval=never),
     )
     idle.add_many(predicate_list)
-    time_config("scheduler-idle", idle)
+    if not idle.maintenance_report()["tasks"]:
+        raise AssertionError("maintenance bench: scheduler-idle registered no task")
+    configs.append(("scheduler-idle", idle, None))
 
     active = DEFAULT_REGISTRY.create_matcher(
         "ibs",
         tree_factory="flat",
-        adaptive=True,
-        min_feedback_tuples=64,
-        maintenance=MaintenancePolicy(retune_interval=ops_per_round * 2),
+        maintenance=MaintenancePolicy(rebalance_interval=ops_per_round * 2),
     )
     active.add_many(predicate_list)
-    time_config("scheduler-active", active)
+    configs.append(("scheduler-active", active, None))
 
     work_dir = tempfile.mkdtemp(prefix="bench-maint-")
+    checkpointers: List[Any] = []
     try:
         stop_world = DEFAULT_REGISTRY.create_matcher(
             "ibs-concurrent",
@@ -1721,11 +1702,8 @@ def run_maintenance(
             data_dir=os.path.join(work_dir, "stop-world"),
         )
         stop_world.add_many(predicate_list)
-        ck_stop = DiskCheckpointer(stop_world)
-        try:
-            time_config("ckpt-stop-world", stop_world, ck_stop)
-        finally:
-            ck_stop.close()
+        checkpointers.append(DiskCheckpointer(stop_world))
+        configs.append(("ckpt-stop-world", stop_world, checkpointers[-1]))
 
         background = DEFAULT_REGISTRY.create_matcher(
             "ibs-concurrent",
@@ -1737,14 +1715,37 @@ def run_maintenance(
             ),
         )
         background.add_many(predicate_list)
-        ck_back = DiskCheckpointer(background)
-        try:
-            time_config("ckpt-background", background)
-        finally:
-            ck_back.close()
+        checkpointers.append(DiskCheckpointer(background))
+        configs.append(("ckpt-background", background, None))
+
+        for mode, index, checkpointer in configs:
+            check(index, mode)
+            mixed_rounds(index, checkpointer)  # warm-up
+        # Round-robin: every configuration runs once per repeat, so a
+        # slow stretch of the host does not land on one row's repeats.
+        best = [(math.inf, 0.0)] * len(configs)
+        for _ in range(repeats):
+            for cell, (_mode, index, checkpointer) in enumerate(configs):
+                start = time.perf_counter()
+                pause = mixed_rounds(index, checkpointer)
+                took = time.perf_counter() - start
+                if took < best[cell][0]:
+                    best[cell] = (took, pause)
     finally:
+        for checkpointer in checkpointers:
+            checkpointer.close()
         shutil.rmtree(work_dir, ignore_errors=True)
-    return rows
+    baseline = total / best[0][0]
+    return [
+        {
+            "mode": mode,
+            "us_per_tuple": elapsed / total * 1e6,
+            "tuples_per_s": total / elapsed,
+            "overhead_pct": (1.0 - total / elapsed / baseline) * 100.0,
+            "max_pause_ms": worst * 1e3,
+        }
+        for (mode, _, _), (elapsed, worst) in zip(configs, best)
+    ]
 
 
 def print_maintenance(

@@ -75,10 +75,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         overlay of each shard).  ``tree_factory`` also accepts the name
         of a backend registered in the
         :data:`~repro.match.registry.DEFAULT_REGISTRY` (``"ibs"``,
-        ``"avl"``, …).  The internal indexes are always built
-        with ``adaptive=False`` — feedback counters mutate state on the
-        read path and are unsafe under lock-free readers (see
-        ``docs/concurrency_model.md``).
+        ``"avl"``, …).  Entry clauses are chosen when a shard base is
+        built, so :meth:`compact` re-makes every choice against the
+        current estimator.
     snapshot_cache_size:
         Stab-cache capacity for each shard's base/overlay index.
         Freezing demotes the cache to an append-only discipline (plain
@@ -258,7 +257,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             estimator=self._estimator,
             multi_clause=self._multi_clause,
             stab_cache_size=self._snapshot_cache_size,
-            adaptive=False,
             columnar=self._columnar,
             storage=self._storage,
             data_dir=self._data_dir,
@@ -394,7 +392,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         Called after every epoch publication, under the publishing
         shard's write lock — the calls for one relation arrive in
         strict epoch order.  Hooks must be fast and must never call
-        this facade's write API (``add``/``remove``/``retune``/…), or
+        this facade's write API (``add``/``remove``/``compact``/…), or
         they will deadlock on the shard lock they are already under.
         """
         self._publish_hooks.append(hook)
@@ -523,38 +521,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         else:
             items = self._shard_items()
         return {rel: shard.compact() for rel, shard in items}
-
-    def retune(self, relation: Optional[str] = None) -> List[Hashable]:
-        """Rebuild shard bases so entry-clause choices are re-made.
-
-        The serial index migrates individual entry clauses in place;
-        under snapshot publication the equivalent safe operation is a
-        per-shard compaction — the fresh base re-runs entry-clause
-        selection against the current estimator for every live
-        predicate, and readers only ever see the old or the new epoch.
-        Returns the identifiers whose entry attribute changed.
-        """
-        migrated: List[Hashable] = []
-        if relation is not None:
-            shard = self._shards.get(relation)
-            items = [(relation, shard)] if shard is not None else []
-        else:
-            items = self._shard_items()
-        for rel, shard in items:
-            before = shard.snapshot
-            old_attrs = {
-                pred.ident: before.base.indexed_attributes(pred.ident)
-                for pred in before.base.predicates_for(rel)
-            }
-            shard.compact()
-            after = shard.snapshot
-            for pred in after.base.predicates_for(rel):
-                old = old_attrs.get(pred.ident)
-                if old is not None and old != after.base.indexed_attributes(
-                    pred.ident
-                ):
-                    migrated.append(pred.ident)
-        return migrated
 
     def verify_and_rebuild(self) -> Dict[str, Any]:
         """Audit every shard's published base; rebuild the unhealthy ones.

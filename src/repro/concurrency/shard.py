@@ -19,8 +19,7 @@ A snapshot is a three-part structure so that writes stay cheap:
 
 ``base``
     A frozen :class:`PredicateIndex` holding the compacted bulk of the
-    relation's predicates.  Built with ``adaptive=False`` (the feedback
-    counters mutate on the read path without synchronisation), then
+    relation's predicates, built and then
     :meth:`~repro.core.predicate_index.PredicateIndex.freeze`-d so any
     accidental mutation raises instead of corrupting readers.  Freezing
     also demotes the stab cache to an append-only, GIL-safe discipline,

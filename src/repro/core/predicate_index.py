@@ -102,17 +102,6 @@ class PredicateIndex:
         (OLTP-style) tuple streams answer repeated stabs from the cache
         instead of descending the tree.  ``0`` (the default) disables
         caching.
-    adaptive:
-        Record observed entry-clause feedback (tuples seen, candidates
-        admitted per predicate) during :meth:`match` / :meth:`match_batch`,
-        enabling :meth:`retune` to migrate a predicate's entry clause
-        to a different attribute tree when the static estimate behind
-        the original choice turns out wrong on live data.  The paper
-        picks the "most selective clause" once, from a-priori
-        estimates; this closes the loop with measured selectivities.
-    min_feedback_tuples:
-        Minimum observed tuples per relation before a migration
-        decision may be made (guards against noise on tiny samples).
     columnar:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
@@ -123,16 +112,13 @@ class PredicateIndex:
         the semantics of record.  The tree backend must export a stab
         plane (``tree_factory="flat"``, or ``storage="disk"``); any
         other backend raises ``ValueError`` here instead of running
-        scalar.  Cannot be combined with ``adaptive`` or
-        ``multi_clause``.
+        scalar.  Cannot be combined with ``multi_clause``.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
-        periodic mechanism (retune, rebalance, disk-tier eviction)
-        through one deterministic
-        :class:`~repro.maintenance.MaintenanceScheduler`: the policy's
-        ``retune_interval`` (with ``adaptive``) and
-        ``rebalance_interval`` are the only way to run those passes
-        periodically.  The scheduler's clock
+        periodic mechanism (rebalance, disk-tier eviction) through one
+        deterministic :class:`~repro.maintenance.MaintenanceScheduler`:
+        the policy's ``rebalance_interval`` is the only way to run
+        :meth:`rebalance` periodically.  The scheduler's clock
         advances once per matched tuple and once per predicate write,
         and never while the index is frozen.  See
         :meth:`maintenance_report`.
@@ -147,8 +133,6 @@ class PredicateIndex:
         estimator: Optional[SelectivityEstimator] = None,
         multi_clause: bool = False,
         stab_cache_size: int = 0,
-        adaptive: bool = False,
-        min_feedback_tuples: int = 256,
         columnar: bool = False,
         storage: str = "memory",
         data_dir: Optional[str] = None,
@@ -162,20 +146,10 @@ class PredicateIndex:
 
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
         self._tree_factory = tree_factory
-        if columnar and (adaptive or multi_clause):
+        if columnar and multi_clause:
             raise ValueError(
-                "columnar=True cannot be combined with adaptive=True or "
-                "multi_clause=True"
+                "columnar=True cannot be combined with multi_clause=True"
             )
-        self._adaptive = bool(adaptive)
-        # Imported lazily: repro.core must stay importable before
-        # repro.db finishes initialising (db imports core).
-        from ..db.statistics import EntryClauseFeedback
-
-        #: Observed entry-clause selectivity counters (see
-        #: :class:`~repro.db.statistics.EntryClauseFeedback`); populated
-        #: only when ``adaptive`` is set.
-        self.feedback = EntryClauseFeedback(min_samples=min_feedback_tuples)
         self._catalog = ClauseCatalog(estimator, multi_clause)
         if storage not in ("memory", "disk"):
             raise ValueError(
@@ -210,8 +184,6 @@ class PredicateIndex:
             self._catalog,
             self._store,
             self._observer,
-            feedback=self.feedback,
-            adaptive=self._adaptive,
             columnar=bool(columnar),
         )
         self._frozen = False
@@ -230,14 +202,6 @@ class PredicateIndex:
         scheduler = MaintenanceScheduler(
             policy=policy, observer=self._pipeline.observer
         )
-        if self._adaptive and policy.retune_interval is not None:
-            scheduler.register_callback(
-                "retune",
-                lambda budget, relation: self.retune(relation),
-                interval_ops=policy.retune_interval,
-                priority=10,
-                cost_class="cheap",
-            )
         if policy.rebalance_interval is not None:
             scheduler.register_callback(
                 "rebalance",
@@ -329,15 +293,13 @@ class PredicateIndex:
 
         Every per-attribute tree is frozen (backends without a
         ``freeze`` method are skipped) and subsequent calls to
-        :meth:`add`, :meth:`add_many`, :meth:`remove`, :meth:`retune`
+        :meth:`add`, :meth:`add_many`, :meth:`remove`, :meth:`rebalance`
         and :meth:`verify_and_rebuild` raise
         :class:`~repro.errors.PredicateError`.  Matching remains
         available — the epoch-snapshot layer (:mod:`repro.concurrency`)
         publishes frozen indexes that lock-free readers stab
-        concurrently.  A frozen index intended for concurrent reads
-        must be built with ``adaptive=False`` (the feedback counters
-        mutate on the read path and are not synchronised), but the stab
-        cache *may* stay on: freezing demotes it from LRU to
+        concurrently.  The match path keeps no bookkeeping of its own,
+        and the stab cache *may* stay on: freezing demotes it from LRU to
         append-only — hits skip the move-to-end touch, and inserts stop
         once the cache is full instead of evicting — and swaps the
         ``OrderedDict`` for a plain ``dict`` (odict inserts also splice
@@ -539,40 +501,6 @@ class PredicateIndex:
         if self._maintenance is not None and tuple_list:
             self._tick(relation, len(tuple_list))
         return results
-
-    # -- adaptive entry-clause migration -----------------------------------
-
-    def retune(self, relation: Optional[str] = None) -> List[Hashable]:
-        """One feedback-driven migration pass; returns migrated idents.
-
-        For every indexed predicate of *relation* (or of every relation)
-        with enough observed samples, compare the **observed**
-        selectivity of its current entry clause — the fraction of
-        matched tuples that admitted it as a candidate — against the
-        estimated selectivity of its best indexable clause on a
-        *different* attribute.  When the alternative's estimate is below
-        ``observed * MIGRATION_RATIO`` (0.5, in
-        :mod:`repro.match.catalog`), the entry clause is migrated to
-        the alternative's attribute tree: the static "most selective
-        clause" choice the paper fixes at registration time is revised
-        with live evidence.
-
-        The migration is transactional per predicate: the old entry is
-        re-inserted if the new tree's insert fails, and if *that* also
-        fails the predicate is parked on the non-indexable list (brute
-        force is always sound) before the failure propagates.  After a
-        pass the relation's feedback window is reset so the next
-        decision rests on fresh evidence.  No-op under multi-clause
-        indexing (every indexable clause is already entered) and before
-        ``min_feedback_tuples`` samples.
-        """
-        self._check_mutable()
-        return self._catalog.retune(
-            self._store,
-            self.feedback,
-            self._observer,
-            relation,
-        )
 
     # -- tree rebalancing --------------------------------------------------
 

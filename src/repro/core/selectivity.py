@@ -100,11 +100,9 @@ def rank_index_clauses(
 
     Returns ``[(score, clause), ...]`` sorted ascending by estimated
     selectivity, with clause order breaking ties (so the first entry is
-    exactly what :func:`choose_index_clause` picks).  The full ranking
-    is what adaptive entry-clause migration needs: when observed
-    feedback shows the current entry clause admitting too many
-    candidates, the next-best *different-attribute* clause is the
-    migration target.
+    exactly what :func:`choose_index_clause` picks).  The choice is
+    static: it is made once, when the predicate is registered (or its
+    relation is rebuilt), against the estimator's figures at that time.
     """
     estimator = estimator or DefaultEstimator()
     scored: List[tuple] = []

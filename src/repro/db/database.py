@@ -181,9 +181,9 @@ class Database:
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` forwarded (via
         the registry) to every matcher a rule engine builds over this
-        database, routing its periodic work — retune, tree
-        rebalancing, shard compaction, disk checkpoints, eviction —
-        through one deterministic scheduler.  ``None`` (the default)
+        database, routing its periodic work — tree rebalancing, shard
+        compaction, disk checkpoints, eviction — through one
+        deterministic scheduler.  ``None`` (the default)
         leaves every mechanism manual.
     """
 

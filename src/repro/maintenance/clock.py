@@ -1,11 +1,10 @@
 """The one maintenance clock: op-count ticks, optional wall time.
 
-Before this package existed the repo had *four* op-counters with four
-different ideas of what an "operation" is: ``_tuples_since_retune``
-advanced on matched tuples only (and kept advancing on a frozen
-index), ``_tuples_since_autoselect`` advanced on matched tuples unless
-frozen, the concurrent facade's compaction clock advanced on overlay
-size, and the disk checkpointer had no counter at all (manual
+Before this package existed the repo had several op-counters with
+different ideas of what an "operation" is: one advanced on matched
+tuples only (and kept advancing on a frozen index), another on matched
+tuples unless frozen, the concurrent facade's compaction clock on
+overlay size, and the disk checkpointer had no counter at all (manual
 cadence).  The divergence was a real bug class: two intervals set to
 the same number fired at different times depending on which subset of
 traffic each counter happened to see.
@@ -18,7 +17,7 @@ every tier and pinned by ``tests/test_maintenance.py``:
 * one op per predicate write — ``add`` / ``remove`` advance by 1,
   ``add_many`` by ``len(batch)``;
 * a frozen index advances nothing — no maintenance runs while frozen,
-  full stop (this closes the retune-while-frozen hole).
+  full stop.
 
 Wall time is strictly opt-in: ``time_source`` defaults to ``None``, in
 which case the clock is a pure function of the op sequence and every

@@ -28,8 +28,11 @@ class MaintenancePolicy:
     Interval semantics follow the clock's documented op-count: an
     interval of ``N`` means "run once every N matched tuples +
     predicate writes".  All intervals are optional; a facade only
-    registers the tasks whose intervals (and prerequisites, e.g.
-    ``adaptive=True`` for ``retune_interval``) are present.
+    registers the tasks whose intervals are present and that it runs:
+    ``rebalance_interval`` on ``PredicateIndex``, ``compact_interval``
+    on ``ConcurrentPredicateIndex``, ``checkpoint_interval`` once a
+    ``DiskCheckpointer`` attaches, and ``evict_interval`` on the disk
+    tier only.
 
     ``budget_ops`` / ``budget_seconds`` bound a *single task run* —
     the disk checkpointer charges one op per shard, so
@@ -43,7 +46,6 @@ class MaintenancePolicy:
     """
 
     enabled: bool = True
-    retune_interval: Optional[int] = None
     rebalance_interval: Optional[int] = None
     compact_interval: Optional[int] = None
     checkpoint_interval: Optional[int] = None
@@ -62,7 +64,6 @@ class MaintenancePolicy:
 
     def __post_init__(self) -> None:
         for name in (
-            "retune_interval",
             "rebalance_interval",
             "compact_interval",
             "checkpoint_interval",

@@ -1,7 +1,7 @@
 """Maintenance tasks and the budget they run under.
 
 A task is deliberately small: a name, a cost class (so reports and
-budgets can tell a cheap in-memory retune from an fsync-heavy
+budgets can tell a cheap in-memory callback from an fsync-heavy
 checkpoint), a trigger interval in clock ops (plus an optional
 interval in seconds, only live when the clock has a time source), and
 a ``run(budget, relation)`` body.  Everything stateful — last-run
@@ -22,9 +22,10 @@ __all__ = [
 ]
 
 #: Coarse work classification, surfaced in reports and used to pick
-#: sensible default priorities: ``cheap`` covers in-memory counter
-#: work (retune), ``bulk`` covers structure rebuilds (compaction,
-#: backend migration), ``io`` covers disk traffic (checkpoint, evict).
+#: sensible default priorities: ``cheap`` covers small in-memory work
+#: (the default for a registered callback), ``bulk`` covers structure
+#: rebuilds (compaction, rebalance), ``io`` covers disk traffic
+#: (checkpoint, evict).
 COST_CLASSES = ("cheap", "bulk", "io")
 
 

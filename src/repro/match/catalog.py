@@ -9,8 +9,7 @@
   contradictions rejected);
 * **entry-clause selection** — the paper's "most selective clause"
   choice via a pluggable selectivity estimator, or every indexable
-  clause under multi-clause indexing — and feedback-driven entry-clause
-  **migration** (:meth:`ClauseCatalog.retune`);
+  clause under multi-clause indexing — made once, at registration;
 * the **compiled residuals**: each predicate's residual test compiled
   into a tagged dispatch tuple (see :func:`compile_residual`) whenever
   its entry attributes are set, and used by every scalar match.
@@ -43,7 +42,6 @@ from ..core.selectivity import (
     DefaultEstimator,
     SelectivityEstimator,
     choose_index_clause,
-    rank_index_clauses,
 )
 from ..errors import PredicateError, UnknownIntervalError
 from ..predicates.clauses import FunctionClause, IntervalClause
@@ -64,12 +62,6 @@ __all__ = [
     "MULTI",
     "OPAQUE",
 ]
-
-#: :meth:`ClauseCatalog.retune` migrates an entry clause only when the
-#: best alternative's estimated selectivity is below ``observed *
-#: MIGRATION_RATIO`` — a decisive improvement, not a tie.
-MIGRATION_RATIO = 0.5
-
 
 class RelationState:
     """Second-level index state for one relation (Figure 1, lower half).
@@ -127,14 +119,14 @@ class RelationState:
         )
         #: lowest epoch any *future* tree of this relation may carry.
         #: Raised past a tree's last epoch whenever that tree is dropped
-        #: (remove/rollback/migration/rebuild), and seeded into every
+        #: (remove/rollback/rebuild), and seeded into every
         #: fresh tree, so ``(attribute, tree_epoch)`` pairs are never
         #: reused across tree generations — epoch-keyed caches and
         #: epoch-snapshot readers can rely on monotonicity.
         self.epoch_floor: int = 0
         #: monotone mutation counter, bumped by every catalog operation
         #: that changes what this relation matches (register, remove,
-        #: entry-clause migration, rebuild, rollback).  Derived
+        #: rebuild, rollback).  Derived
         #: read-path structures — the columnar plane below — key their
         #: caches on it, so a mutation invalidates them by version
         #: mismatch instead of an explicit notification.
@@ -380,7 +372,7 @@ class ClauseCatalog:
         ``residuals``: the compiled residual skips exactly the clauses
         the entry attributes prove, so the three change together on
         every path that sets them — register, bulk register, cold-start
-        attach, migration and rebuild.  Empty *under* means
+        attach and rebuild.  Empty *under* means
         non-indexable.
         """
         if under:
@@ -432,117 +424,6 @@ class ClauseCatalog:
         if not state.predicates:
             del self.relations[relation]
         return predicate
-
-    # -- adaptive entry-clause migration --------------------------------
-
-    def retune(
-        self,
-        store: Any,
-        feedback: Any,
-        observer: MatchObserver,
-        relation: Optional[str] = None,
-    ) -> List[Hashable]:
-        """One feedback-driven migration pass; returns migrated idents.
-
-        For every indexed predicate of *relation* (or of every
-        relation) with enough observed samples, compare the
-        **observed** selectivity of its current entry clause against
-        the estimated selectivity of its best indexable clause on a
-        *different* attribute; when the alternative's estimate is below
-        ``observed * MIGRATION_RATIO`` the entry clause is migrated.
-        After a pass the relation's feedback window is reset so the
-        next decision rests on fresh evidence.  No-op under
-        multi-clause indexing.
-        """
-        if self.multi_clause:
-            return []
-        migrated: List[Hashable] = []
-        targets = [relation] if relation is not None else list(self.relations)
-        for rel in targets:
-            state = self.relations.get(rel)
-            if state is None:
-                continue
-            if feedback.tuples_seen(rel) < feedback.min_samples:
-                continue
-            for ident in list(state.indexed_under):
-                observed = feedback.observed_selectivity(rel, ident)
-                if observed is None:
-                    continue
-                current = state.indexed_under.get(ident)
-                if not current:
-                    continue
-                predicate = state.predicates[ident]
-                alternative: Optional[Tuple[float, IntervalClause]] = None
-                for score, clause in rank_index_clauses(predicate, self.estimator):
-                    if clause.attribute != current[0]:
-                        alternative = (score, clause)
-                        break
-                if alternative is None:
-                    continue  # no different-attribute clause to move to
-                score, clause = alternative
-                if score < observed * MIGRATION_RATIO:
-                    if self.migrate_entry_clause(
-                        store, rel, state, ident, clause, observer
-                    ):
-                        migrated.append(ident)
-            feedback.reset(
-                rel,
-                list(state.indexed_under) + list(state.non_indexable),
-            )
-        return migrated
-
-    def migrate_entry_clause(
-        self,
-        store: Any,
-        relation: str,
-        state: RelationState,
-        ident: Hashable,
-        clause: IntervalClause,
-        observer: MatchObserver,
-    ) -> bool:
-        """Move *ident*'s entry clause into *clause*'s attribute tree.
-
-        Transactional per predicate: the old entry is re-inserted if
-        the new tree's insert fails, and if *that* also fails the
-        predicate is parked on the non-indexable list (brute force is
-        always sound) before the failure propagates.
-        """
-        old_attr = state.indexed_under[ident][0]
-        new_attr = clause.attribute
-        if new_attr == old_attr:
-            return False
-        state.version += 1
-        old_tree = state.trees[old_attr]
-        old_interval = old_tree.get(ident)
-        new_tree = state.trees.get(new_attr)
-        created = new_tree is None
-        if created:
-            new_tree = store.new_tree(state, new_attr)
-        old_tree.delete(ident)
-        try:
-            new_tree.insert(clause.interval, ident)
-        except BaseException:
-            try:
-                old_tree.insert(old_interval, ident)
-            except BaseException:
-                # Double fault: neither tree accepted the entry.  Brute
-                # force is always sound, so park the predicate on the
-                # non-indexable list rather than lose it.
-                self._set_entry(state, ident, state.predicates[ident], ())
-                if not old_tree:
-                    store.drop_tree(state, old_attr)
-                raise
-            raise
-        if created:
-            state.trees[new_attr] = new_tree
-            state.stab_cache.clear()  # tree map changed shape
-        if not old_tree:
-            store.drop_tree(state, old_attr)
-        # the residual must re-test the old entry clause and skip the
-        # new one
-        self._set_entry(state, ident, state.predicates[ident], (new_attr,))
-        observer.on_migration(relation, ident, old_attr, new_attr)
-        return True
 
     # -- rebuild --------------------------------------------------------
 

@@ -35,7 +35,6 @@ and cached paths deliberately reduce:
 * ``stab_cache_hits`` — probes answered from the epoch-keyed stab
   cache;
 * ``batches_matched`` — :meth:`match_batch` invocations;
-* ``clause_migrations`` — adaptive entry-clause migrations performed;
 * ``tree_rebuilds`` — degenerate attribute trees bulk-loaded again
   by ``PredicateIndex.rebalance()``;
 * ``maintenance_runs`` / ``maintenance_failures`` — scheduled
@@ -45,7 +44,7 @@ and cached paths deliberately reduce:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "MatchStatistics",
@@ -73,7 +72,6 @@ class MatchStatistics:
         "full_matches",
         "batches_matched",
         "stab_cache_hits",
-        "clause_migrations",
         "tree_rebuilds",
         "maintenance_runs",
         "maintenance_failures",
@@ -102,7 +100,6 @@ class MatchStatistics:
         self.full_matches = 0
         self.batches_matched = 0
         self.stab_cache_hits = 0
-        self.clause_migrations = 0
         self.tree_rebuilds = 0
         self.maintenance_runs = 0
         self.maintenance_failures = 0
@@ -155,16 +152,6 @@ class MatchObserver:
     def on_residual(self, relation: str, full: int) -> None:
         """The residual stage confirmed *full* complete matches."""
 
-    def on_migration(
-        self,
-        relation: str,
-        ident: Hashable,
-        old_attribute: Optional[str],
-        new_attribute: Optional[str],
-    ) -> None:
-        """An adaptive pass migrated *ident*'s entry clause between
-        attribute trees."""
-
     def on_tree_rebuild(self, relation: str, attribute: str) -> None:
         """A rebalance pass bulk-loaded *attribute*'s degenerate tree
         again (see ``PredicateIndex.rebalance``)."""
@@ -206,15 +193,6 @@ class StatsObserver(MatchObserver):
 
     def on_residual(self, relation: str, full: int) -> None:
         self.stats.full_matches += full
-
-    def on_migration(
-        self,
-        relation: str,
-        ident: Hashable,
-        old_attribute: Optional[str],
-        new_attribute: Optional[str],
-    ) -> None:
-        self.stats.clause_migrations += 1
 
     def on_tree_rebuild(self, relation: str, attribute: str) -> None:
         self.stats.tree_rebuilds += 1

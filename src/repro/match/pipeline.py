@@ -70,13 +70,6 @@ class MatchPipeline:
     observer:
         Stage-boundary sink; swap it to change what is recorded
         without touching the pipeline.
-    feedback:
-        Entry-clause feedback counters
-        (:class:`~repro.db.statistics.EntryClauseFeedback`); consulted
-        only when ``adaptive``.
-    adaptive:
-        Record observed entry-clause selectivities on the match path
-        (never safe on a frozen index read concurrently).
     columnar:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
@@ -86,26 +79,25 @@ class MatchPipeline:
         shape is not vectorizable, or the batch carries values outside
         the plane's numeric domain — the scalar stages below remain
         the semantics of record.  The owning index rejects it together
-        with ``adaptive`` (the feedback counters need the scalar path's
-        per-candidate bookkeeping) or multi-clause indexing.
+        with multi-clause indexing.
+
+    The match path keeps no bookkeeping of its own: besides the
+    observer's events, it writes only the stab cache and the columnar
+    plane cache, both safe for concurrent readers of a frozen index.
     """
 
-    __slots__ = ("catalog", "store", "observer", "feedback", "adaptive", "columnar")
+    __slots__ = ("catalog", "store", "observer", "columnar")
 
     def __init__(
         self,
         catalog: ClauseCatalog,
         store: TreeStore,
         observer: MatchObserver,
-        feedback: Any = None,
-        adaptive: bool = False,
         columnar: bool = False,
     ) -> None:
         self.catalog = catalog
         self.store = store
         self.observer = observer
-        self.feedback = feedback
-        self.adaptive = bool(adaptive)
         self.columnar = bool(columnar)
 
     # -- entry points ---------------------------------------------------
@@ -184,9 +176,6 @@ class MatchPipeline:
             return [[] for _ in tuples]
         stab_tables, unbatchable = self._stab_tables(relation, state, tuples)
         multi_clause = self.catalog.multi_clause
-        feedback = self.feedback if self.adaptive and not multi_clause else None
-        if feedback is not None:
-            feedback.observe_tuples(relation, len(tuples))
         indexed_under = state.indexed_under
         predicates = state.predicates
         residuals = state.residuals
@@ -233,8 +222,6 @@ class MatchPipeline:
                 groups = [stabbed for _, stabbed in hits if stabbed]
             for group in groups:
                 partial += len(group)
-                if feedback is not None:
-                    feedback.observe_candidates(group)
                 if not proven:
                     for ident in group:
                         predicate = predicates[ident]

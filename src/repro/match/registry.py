@@ -243,8 +243,6 @@ _IBS_OPTIONS = (
     "estimator",
     "multi_clause",
     "stab_cache_size",
-    "adaptive",
-    "min_feedback_tuples",
     "columnar",
     "storage",
     "data_dir",

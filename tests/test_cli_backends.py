@@ -144,7 +144,7 @@ def test_maintenance_prints_task_table(capsys):
     for family in scenario_names():
         assert f"  {family}:" in out
     assert "clock_ops=" in out
-    assert "retune" in out and "rebalance" in out
+    assert "rebalance" in out and "retune" not in out
     assert "runs=" in out and "next_due_ops=" in out
     # a healthy run dead-letters nothing
     assert "dead-letter" not in out

@@ -284,16 +284,13 @@ def test_columnar_capability_flags():
     assert DEFAULT_REGISTRY.describe_matcher("ibs")["capabilities"] == {}
 
 
-@pytest.mark.parametrize(
-    "option", [{"adaptive": True}, {"multi_clause": True}], ids=["adaptive", "multi-clause"]
-)
-def test_columnar_with_scalar_only_option_is_rejected(option):
-    """The plane cannot serve adaptive feedback or multi-clause entry
-    sets; asking for both must fail loudly, not silently run scalar."""
+def test_columnar_with_multi_clause_is_rejected():
+    """The plane cannot serve multi-clause entry sets; asking for both
+    must fail loudly, not silently run scalar."""
     with pytest.raises(ValueError, match="columnar"):
-        PredicateIndex(tree_factory="flat", columnar=True, **option)
+        PredicateIndex(tree_factory="flat", columnar=True, multi_clause=True)
     with pytest.raises(ValueError, match="columnar"):
-        DEFAULT_REGISTRY.create_matcher("columnar", **option)
+        DEFAULT_REGISTRY.create_matcher("columnar", multi_clause=True)
 
 
 def test_concurrent_columnar_multi_clause_is_rejected():

@@ -113,7 +113,6 @@ def test_epochs_strictly_increase_across_compaction_and_rebuild():
     for i in range(10):
         idx.add(interval_pred(f"p{i}", i, i + 5))
     idx.compact("r")
-    idx.retune("r")
     assert idx.verify_and_rebuild()["healthy"]
     epochs = [epoch for epoch, _ in seen]
     assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)

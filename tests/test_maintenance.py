@@ -9,7 +9,7 @@ Four layers of assurance, mirroring the disk tier's test discipline:
 * **unified op-count semantics** (satellite 1) — exactly one clock per
   index, one tick per matched tuple and per predicate write, batch ops
   tick ``len(batch)``, and a frozen index never ticks;
-* **differential guarantee** — a maintained index (retune, rebalance,
+* **differential guarantee** — a maintained index (rebalance,
   compaction, checkpointing, eviction all firing mid-stream) must
   answer every match exactly like a never-ticked twin, across the
   scalar, columnar, rebalancing, concurrent, and disk
@@ -292,7 +292,7 @@ class TestSchedulerUnit:
 
 class TestUnifiedOpSemantics:
     def _index(self):
-        return PredicateIndex(maintenance=MaintenancePolicy(retune_interval=10_000))
+        return PredicateIndex(maintenance=MaintenancePolicy(rebalance_interval=10_000))
 
     def test_one_tick_per_write_and_per_matched_tuple(self):
         rng = random.Random(0)
@@ -327,11 +327,16 @@ class TestUnifiedOpSemantics:
 
     def test_no_bespoke_counters_remain(self):
         # the pre-refactor per-feature counters are gone: one clock only
-        index = PredicateIndex(
-            adaptive=True, maintenance=MaintenancePolicy(retune_interval=16)
-        )
+        index = PredicateIndex(maintenance=MaintenancePolicy(rebalance_interval=16))
         assert not hasattr(index, "_tuples_since_retune")
         assert not hasattr(index, "_tuples_since_autoselect")
+        assert not hasattr(index, "feedback")
+
+    def test_retune_interval_is_gone(self):
+        # entry clauses are chosen once, at registration: no policy
+        # knob schedules a migration pass
+        with pytest.raises(TypeError):
+            MaintenancePolicy(retune_interval=8)
 
     def test_plain_index_has_no_scheduler(self):
         index = PredicateIndex()
@@ -339,12 +344,12 @@ class TestUnifiedOpSemantics:
         report = index.maintenance_report()
         assert report == {"enabled": False, "clock_ops": 0, "tasks": {}, "failures": []}
 
-    def test_retune_and_rebalance_share_one_clock(self):
+    def test_rebalance_and_evict_share_one_clock(self, tmp_path):
         rng = random.Random(2)
         index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=8,
-            maintenance=MaintenancePolicy(retune_interval=10, rebalance_interval=20),
+            storage="disk",
+            data_dir=str(tmp_path),
+            maintenance=MaintenancePolicy(rebalance_interval=10, evict_interval=20),
         )
         for i in range(5):
             index.add(make_pred(rng, "emp", i))
@@ -352,16 +357,12 @@ class TestUnifiedOpSemantics:
             index.match("emp", {"x": rng.uniform(-100, 100)})
         report = index.maintenance_report()
         assert report["clock_ops"] == 25
-        assert report["tasks"]["retune"]["runs"] >= 2
-        assert report["tasks"]["rebalance"]["runs"] >= 1
+        assert report["tasks"]["rebalance"]["runs"] >= 2
+        assert report["tasks"]["evict"]["runs"] >= 1
 
     def test_scalar_stats_count_maintenance_runs(self):
         rng = random.Random(3)
-        index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=4,
-            maintenance=MaintenancePolicy(retune_interval=8),
-        )
+        index = PredicateIndex(maintenance=MaintenancePolicy(rebalance_interval=8))
         for i in range(4):
             index.add(make_pred(rng, "emp", i))
         for _ in range(20):
@@ -435,7 +436,6 @@ CONFIGS = ["scalar", "rebalance", "columnar", "concurrent", "disk"]
 def build_index(config, maintained, tmp_path, tag):
     policy = (
         MaintenancePolicy(
-            retune_interval=48,
             rebalance_interval=128,
             compact_interval=64,
             checkpoint_interval=96,
@@ -446,9 +446,7 @@ def build_index(config, maintained, tmp_path, tag):
     )
     checkpointer = None
     if config == "scalar":
-        index = PredicateIndex(
-            adaptive=True, min_feedback_tuples=16, maintenance=policy
-        )
+        index = PredicateIndex(stab_cache_size=64, maintenance=policy)
     elif config == "rebalance":
         index = PredicateIndex(maintenance=policy)
     elif config == "columnar":
@@ -552,9 +550,7 @@ class TestMaintCrashDrills:
     def test_task_raises_is_contained_and_dead_lettered(self, seed):
         rng = random.Random(seed)
         index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=4,
-            maintenance=MaintenancePolicy(retune_interval=8, quarantine_failures=99),
+            maintenance=MaintenancePolicy(rebalance_interval=8, quarantine_failures=99),
         )
         for i in range(6):
             index.add(make_pred(rng, "emp", i))
@@ -569,7 +565,7 @@ class TestMaintCrashDrills:
         for _ in range(20):
             index.match("emp", {"x": rng.uniform(-100, 100)})
         after = index.maintenance_report()
-        assert after["tasks"]["retune"]["runs"] > report["tasks"]["retune"]["runs"]
+        assert after["tasks"]["rebalance"]["runs"] > report["tasks"]["rebalance"]["runs"]
 
     @pytest.mark.parametrize("seed", MAINT_SEEDS)
     def test_tick_during_migration_aborts_before_commit(self, seed):
@@ -728,7 +724,7 @@ class TestFacadeMaintenance:
 
 class TestDatabaseSurface:
     def test_policy_threads_through_to_engine_matcher(self):
-        policy = MaintenancePolicy(retune_interval=8)
+        policy = MaintenancePolicy(rebalance_interval=8)
         db = Database(matcher="ibs", maintenance=policy)
         db.create_relation("emp", ["salary"])
         engine = RuleEngine(db)
@@ -746,7 +742,7 @@ class TestDatabaseSurface:
 
     def test_baseline_matchers_ignore_the_policy(self):
         db = Database(
-            matcher="sequential", maintenance=MaintenancePolicy(retune_interval=8)
+            matcher="sequential", maintenance=MaintenancePolicy(rebalance_interval=8)
         )
         db.create_relation("emp", ["salary"])
         engine = RuleEngine(db)

@@ -279,5 +279,5 @@ class TestPeriodicRebalance:
         assert answers(index) == oracle_answers(predicates)
 
     def test_no_task_without_interval(self):
-        index = PredicateIndex(maintenance=MaintenancePolicy(retune_interval=8))
+        index = PredicateIndex(maintenance=MaintenancePolicy(evict_interval=8))
         assert "rebalance" not in index.maintenance_report()["tasks"]

@@ -30,6 +30,8 @@ from repro.rules import RuleEngine
         ("ibs-concurrent", "min_chunk"),
         ("disk-concurrent", "workers"),
         ("ibs", "min_chunk"),
+        ("ibs", "adaptive"),
+        ("ibs", "min_feedback_tuples"),
     ],
 )
 def test_unknown_option_raises(matcher, option):

@@ -20,7 +20,6 @@ from repro import (
     Predicate,
     PredicateIndex,
 )
-from repro.predicates import PredicateBuilder
 
 BACKENDS = [IBSTree, FlatIBSTree]
 
@@ -90,27 +89,6 @@ def test_rebuild_invalidates_cache(factory):
     assert idents(idx.match("r", {"x": 10})) == before
 
 
-def test_migration_invalidates_cache():
-    idx = PredicateIndex(
-        stab_cache_size=32,
-        adaptive=True,
-        min_feedback_tuples=8,
-    )
-    ident = idx.add(
-        PredicateBuilder("r").eq("a", 5).between("b", 0, 100).build()
-    )
-    # warm the cache on the "a" tree, with feedback showing the entry
-    # clause admitting every tuple
-    for _ in range(10):
-        assert idx.match("r", {"a": 5, "b": 500}) == []
-    assert idx.retune("r") == [ident]
-    rel = idx._relations["r"]
-    assert rel.indexed_under[ident] == ("b",)
-    # post-migration answers are correct on both the old and new attribute
-    assert idents(idx.match("r", {"a": 5, "b": 50})) == [ident]
-    assert idx.match("r", {"a": 5, "b": 500}) == []
-
-
 @pytest.mark.parametrize("factory", BACKENDS)
 def test_batch_path_uses_and_fills_the_cache(factory):
     idx = PredicateIndex(tree_factory=factory, stab_cache_size=64)
@@ -152,35 +130,6 @@ def test_batch_path_cache_coherent_across_mutations(factory):
         fresh = interval_pred(f"n{round_number}", low, low + 10)
         idx.add(fresh)
         plain.add(interval_pred(f"n{round_number}", low, low + 10))
-
-
-def test_retune_bumps_tree_epochs():
-    """Migration must retire the old generation: any tree the retune
-    touches ends on a strictly higher epoch, so cached stabs keyed by
-    ``(attribute, tree_epoch, value)`` can never resurface."""
-    idx = PredicateIndex(
-        stab_cache_size=32,
-        adaptive=True,
-        min_feedback_tuples=8,
-    )
-    ident = idx.add(
-        PredicateBuilder("r").eq("a", 5).between("b", 0, 100).build()
-    )
-    for _ in range(10):
-        idx.match("r", {"a": 5, "b": 500})
-    before = idx.tree_epochs("r")
-    assert idx.retune("r") == [ident]
-    after = idx.tree_epochs("r")
-    # the source tree is gone (or re-created on a later epoch), and the
-    # destination tree's epoch does not collide with any retired one
-    assert after != before
-    for attribute, epoch in after.items():
-        assert attribute not in before or epoch > before[attribute]
-    # the migration destination now carries the entry clause
-    assert "b" in after and "a" not in after
-    # retiring the source tree raised the floor: a future "a" tree can
-    # never reuse a retired ("a", epoch) cache key
-    assert idx._relations["r"].epoch_floor > before["a"]
 
 
 @pytest.mark.parametrize("factory", BACKENDS)
@@ -265,7 +214,6 @@ def test_stats_reset_clears_cache_counter():
     assert idx.stats.stab_cache_hits == 1
     idx.stats.reset()
     assert idx.stats.stab_cache_hits == 0
-    assert idx.stats.clause_migrations == 0
 
 
 def test_freeze_swaps_cache_to_plain_dict():
